@@ -33,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from .interval import Interval
+from .interval import Interval, _vdn, _vup
 
 __all__ = [
     "GAMMA0",
@@ -51,9 +51,6 @@ __all__ = [
 GAMMA0 = Interval(0.5772156, 0.5772157)
 GAMMA1 = Interval(-0.0728159, -0.0728158)
 
-_NINF = float("-inf")
-_PINF = float("inf")
-
 # forward-error coefficient for an n-term recursive float sum of
 # positive terms: |computed - true| <= (n + 2) * u * sum, u = 2^-53,
 # with one u * sum absorbing the per-term division rounding
@@ -62,14 +59,6 @@ _U = 1.12e-16  # slightly above 2^-53 so the pad itself may round freely
 # covers np.power: exponent nearest-rounding contributes
 # ln(x) * u/2 relative, the evaluation another couple of ulps
 _POW_PAD = 2e-14
-
-
-def _vdn(a):
-    return np.nextafter(a, _NINF)
-
-
-def _vup(a):
-    return np.nextafter(a, _PINF)
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,13 @@ partial product, then a rigorous tail estimate.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .interval import Interval, ei_neg, rational_pow
-from .sieve import _base_prime_array, _odd_mask, _segment_bounds, prime_count
+from .interval import Interval, _down, _up, _vdn, _vup, ei_neg, rational_pow
+from .sieve import _sieved_segments
 
 __all__ = [
     "GFactor",
@@ -42,9 +41,6 @@ __all__ = [
     "h_bound",
     "twin_constant",
 ]
-
-_NINF = float("-inf")
-_PINF = float("inf")
 
 #: Chebyshev-type upper bound pi(t) <= (1 + 1.2762/log t) t/log t holds
 #: from here on; tail estimates refuse smaller cutoffs.
@@ -134,33 +130,35 @@ def g_factor_log(p: int, s: Fraction) -> Interval:
     return total.log1p()
 
 
-def _vdn(a):
-    return np.nextafter(a, _NINF)
-
-
-def _vup(a):
-    return np.nextafter(a, _PINF)
-
-
 def _padded_block_sum(y: np.ndarray) -> Interval:
     """Interval for sum(y) given a per-element relative pad, one fsum."""
     y_lo = _vdn(np.abs(y) * (1.0 - _VEC_PAD)) * np.sign(y)
     y_hi = _vup(np.abs(y) * (1.0 + _VEC_PAD)) * np.sign(y)
     lows = np.minimum(y_lo, y_hi)
     highs = np.maximum(y_lo, y_hi)
-    lo = math.nextafter(math.fsum(lows.tolist()), _NINF)
-    hi = math.nextafter(math.fsum(highs.tolist()), _PINF)
+    lo = _down(math.fsum(lows.tolist()))
+    hi = _up(math.fsum(highs.tolist()))
     return Interval(lo, hi)
 
 
-def _segment_odd_primes(a: int, b: int, base_primes: np.ndarray) -> np.ndarray:
-    lo = a if a % 2 == 1 else a + 1
-    if lo < 3:
-        lo = 3
-    if lo > b:
-        return np.empty(0, dtype=np.float64)
-    mask = _odd_mask(lo, b, base_primes)
-    return (lo + 2 * np.nonzero(mask)[0]).astype(np.float64)
+def _fold_odd_primes(cutoff: int, total: Interval, block, threads: int = 1):
+    """(total + the blocks, pi(cutoff)), counted in the same sieve pass.
+
+    ``block`` maps one segment's odd primes, as float64, to the Interval
+    to add, or to None to add nothing; segments are folded in ascending
+    order, _S1_SEGMENT numbers each.
+    """
+
+    def work(lo, b, mask):
+        pf = (lo + 2 * np.nonzero(mask)[0]).astype(np.float64)
+        return len(pf), block(pf)
+
+    pi_cutoff = 1  # the prime 2
+    for count, part in _sieved_segments(cutoff, _S1_SEGMENT, work, threads):
+        pi_cutoff += count
+        if part is not None:
+            total = total + part
+    return total, pi_cutoff
 
 
 def _h_local_log_terms(pf: np.ndarray, alpha: Fraction) -> np.ndarray:
@@ -177,34 +175,6 @@ def _h_local_log_terms(pf: np.ndarray, alpha: Fraction) -> np.ndarray:
         + 2.0 * np.power(pf, e4)
     )
     return np.log1p(num / (pf * pf * (pf - 2.0)))
-
-
-def _partial_log_sum(cutoff: int, alpha: Fraction, threads: int = 1) -> Interval:
-    """sum over primes p <= cutoff of the local H factor log, p = 2 included."""
-    total = g_factor_log(2, -alpha)
-    if cutoff < 3:
-        return total
-    base_primes = _base_prime_array(math.isqrt(cutoff) + 1)
-
-    def work(bounds):
-        pf = _segment_odd_primes(bounds[0], bounds[1], base_primes)
-        if len(pf) == 0:
-            return Interval(0.0, 0.0)
-        return _padded_block_sum(_h_local_log_terms(pf, alpha))
-
-    bounds = list(_segment_bounds(cutoff, _S1_SEGMENT))
-    if threads == 1:
-        parts = map(work, bounds)
-    else:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        parts = pool.map(work, bounds)
-    try:
-        for part in parts:
-            total = total + part
-    finally:
-        if threads > 1:
-            pool.shutdown()
-    return total
 
 
 def _chebyshev_k2(cutoff_iv: Interval) -> Interval:
@@ -258,8 +228,17 @@ def h_bound(cutoff: int, alpha: Fraction, threads: int = 1) -> HBoundReport:
         raise ValueError(f"cutoff below {_PI_BOUND_FLOOR}: {cutoff}")
 
     beta = 2 - 2 * alpha  # tail factors decay like t^(-beta)
-    s1 = _partial_log_sum(cutoff, alpha, threads=threads)
-    pi_cutoff = prime_count(cutoff, threads=threads)
+
+    # s1 is the local log sum over p <= cutoff, p = 2 included.  A segment
+    # without primes adds [0, 0], which still nudges s1 outward;
+    # twin_constant skips such segments, and the pinned bits of both
+    # products depend on that difference.
+    def block(pf):
+        if len(pf) == 0:
+            return Interval(0.0, 0.0)
+        return _padded_block_sum(_h_local_log_terms(pf, alpha))
+
+    s1, pi_cutoff = _fold_odd_primes(cutoff, g_factor_log(2, -alpha), block, threads)
 
     t0 = Interval.from_int(cutoff)
     k1 = _tail_envelope_coefficient(t0, alpha) * 1.000001
@@ -313,14 +292,14 @@ def twin_constant(cutoff: int, threads: int = 1) -> Interval:
     """
     if cutoff < 3:
         raise ValueError(f"cutoff must be >= 3: {cutoff}")
-    base_primes = _base_prime_array(math.isqrt(cutoff) + 1)
-    log_sum = Interval(0.0, 0.0)
-    for a, b in _segment_bounds(cutoff, _S1_SEGMENT):
-        pf = _segment_odd_primes(a, b, base_primes)
+
+    def block(pf):
         if len(pf) == 0:
-            continue
+            return None
         q = pf - 1.0
-        log_sum = log_sum + _padded_block_sum(np.log1p(-1.0 / (q * q)))
+        return _padded_block_sum(np.log1p(-1.0 / (q * q)))
+
+    log_sum, pi_cutoff = _fold_odd_primes(cutoff, Interval(0.0, 0.0), block, threads)
     partial = 2 * log_sum.exp()
 
     t0 = Interval.from_int(cutoff)
@@ -328,7 +307,6 @@ def twin_constant(cutoff: int, threads: int = 1) -> Interval:
         # sum_{p > cutoff} -log(1 - x_p) <= sum x_p + x_p^2 with
         # x_p = 1/(p-1)^2, then partial summation: the integral
         # int_cutoff^inf f(t) dt = 1/(t0-1) + 1/(3 (t0-1)^3)
-        pi_cutoff = prime_count(cutoff, threads=threads)
         q = t0 - 1
         f0 = 1 / (q * q) + 1 / (q * q * q * q)
         k2 = _chebyshev_k2(t0)

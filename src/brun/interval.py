@@ -24,6 +24,8 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 __all__ = ["Interval", "EULER_GAMMA", "ei_neg", "rational_pow"]
 
 _FLOAT_MAX = sys.float_info.max
@@ -45,6 +47,19 @@ def _down2(x: float) -> float:
 
 def _up2(x: float) -> float:
     return math.nextafter(math.nextafter(x, math.inf), math.inf)
+
+
+# the array forms of _down and _up, for the vectorized pipelines
+_NINF = -math.inf
+_PINF = math.inf
+
+
+def _vdn(a):
+    return np.nextafter(a, _NINF)
+
+
+def _vup(a):
+    return np.nextafter(a, _PINF)
 
 
 class Interval:

@@ -31,6 +31,10 @@ def contains(iv: Interval, d: Decimal) -> bool:
     return Decimal(iv.lo) <= d <= Decimal(iv.hi)
 
 
+def hex_ends(iv: Interval) -> tuple:
+    return iv.lo.hex(), iv.hi.hex()
+
+
 class TestGValues:
     def test_powers_of_two(self):
         assert g_value(2) == 0
@@ -113,6 +117,16 @@ class TestHBound:
         assert b.h.hi <= a.h.hi
         assert b.h.lo >= a.h.lo
 
+    def test_exact_bits(self):
+        # pins the fold order of the partial log sum, not only its value
+        report = h_bound(10**6, Fraction(2, 5))
+        assert report.pi_cutoff == 78498
+        assert hex_ends(report.partial_log_sum) == ("0x1.b368c4754023cp+2", "0x1.b368c475402a2p+2")
+        assert hex_ends(report.h) == ("0x1.c264d02fed2abp+9", "0x1.dbd6b82147869p+9")
+        # a short last segment without primes still adds [0, 0] here
+        s1 = h_bound(2**24 + 20, Fraction(2, 5)).partial_log_sum
+        assert hex_ends(s1) == ("0x1.b526634da1a8ep+2", "0x1.b526634da1af6p+2")
+
     def test_threads_do_not_change_result(self):
         a = h_bound(10**6, Fraction(2, 5))
         b = h_bound(10**6, Fraction(2, 5), threads=4)
@@ -134,6 +148,15 @@ class TestTwinConstant:
         assert contains(iv, TWIN_C)
         assert 1.320323 <= iv.lo
         assert iv.hi <= 1.320324
+
+    def test_exact_bits(self):
+        # 2**24 + 20 ends in a short segment without primes, which the
+        # fold skips
+        assert hex_ends(twin_constant(10**6)) == ("0x1.5200ba7efc024p+0", "0x1.5200bc42998aep+0")
+        assert hex_ends(twin_constant(2**24 + 20)) == ("0x1.5200babf718f2p+0", "0x1.5200bad57b603p+0")
+
+    def test_threads_do_not_change_result(self):
+        assert twin_constant(10**6, threads=2) == twin_constant(10**6)
 
     def test_small_cutoff_coarse_tail(self):
         iv = twin_constant(3)

@@ -84,10 +84,15 @@ class TestPartitionIndependence:
     def test_segment_sizes_and_threads(self):
         limit = 2 * 10**5
         reference = census(limit)
+        primes = prime_count(limit)
+        members = twin_lower_members(limit).tolist()
         for segment_size in (4096, 10007, 1 << 16, limit * 2):
             for threads in (1, 3):
                 c = census(limit, segment_size=segment_size, threads=threads)
                 assert c == reference, (segment_size, threads)
+                n = prime_count(limit, segment_size=segment_size, threads=threads)
+                assert n == primes, (segment_size, threads)
+            assert twin_lower_members(limit, segment_size).tolist() == members, segment_size
 
     def test_boundary_splits_a_pair(self):
         # segment size 9 puts a boundary between 11 and 13
@@ -104,6 +109,9 @@ class TestPartitionIndependence:
         a = census(limit, segment_size=segment_size)
         b = census(limit)
         assert a == b
+        assert prime_count(limit, segment_size) == prime_count(limit)
+        members = twin_lower_members(limit, segment_size).tolist()
+        assert members == twin_lower_members(limit).tolist()
 
     @given(st.integers(min_value=0, max_value=2000))
     @settings(max_examples=30, deadline=None)
@@ -119,3 +127,10 @@ class TestValidation:
             census(100, segment_size=1)
         with pytest.raises(ValueError):
             census(100, threads=0)
+        for segment_size in (0, 1, -5):
+            with pytest.raises(ValueError, match="segment_size too small"):
+                prime_count(100, segment_size=segment_size)
+            with pytest.raises(ValueError, match="segment_size too small"):
+                twin_lower_members(100, segment_size=segment_size)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            prime_count(100, threads=0)
