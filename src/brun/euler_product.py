@@ -149,11 +149,11 @@ def _fold_odd_primes(cutoff: int, total: Interval, block, threads: int = 1):
     order, _S1_SEGMENT numbers each.
     """
 
-    def work(lo, b, mask):
-        pf = (lo + 2 * np.nonzero(mask)[0]).astype(np.float64)
+    def work(segment):
+        pf = segment.primes().astype(np.float64)
         return len(pf), block(pf)
 
-    pi_cutoff = 1  # the prime 2
+    pi_cutoff = 1 if cutoff >= 2 else 0  # the prime 2
     for count, part in _sieved_segments(cutoff, _S1_SEGMENT, work, threads):
         pi_cutoff += count
         if part is not None:

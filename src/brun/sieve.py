@@ -1,9 +1,13 @@
 """Segmented twin prime sieve with a certified running sum.
 
-One generator, ``_sieved_segments``, is the package's only segment loop:
-a plain segmented Eratosthenes over odd numbers, vectorized with numpy
-byte masks, that hands each segment's mask to a callback and yields the
-results in ascending order.  ``census``, ``twin_lower_members`` and
+One generator, ``_sieved_segments``, is the package's only segment loop.
+Its kernel is a segmented Eratosthenes on the wheel of 6: every prime
+above 3 is 6k - 1 or 6k + 1, so each segment keeps two k-indexed numpy
+byte masks, one per class, a sixth of the segment each.  A 5005-periodic
+k-pattern pre-sieves 5, 7, 11 and 13, and base primes from 17 on cross
+off the rest.  Each segment goes to a callback as a ``_Segment``, which
+lists its primes, counts them or lists its twin lower members; results
+come back in ascending order.  ``census``, ``twin_lower_members`` and
 ``prime_count`` here, and both Euler products in ``euler_product``, are
 written as such callbacks.
 
@@ -16,7 +20,7 @@ for every segment size and thread count.
 
 A twin pair (p, p+2) is counted at its lower member: pi2(x) counts pairs
 with p <= x, and the running sum includes both reciprocals of such pairs
-even when p + 2 > x.
+even when p + 2 > x.  Every pair but (3, 5) is (6k - 1, 6k + 1).
 """
 
 from __future__ import annotations
@@ -32,6 +36,26 @@ from .interval import _NINF, _PINF, Interval, _vdn, _vup
 __all__ = ["TwinCensus", "census", "prime_count", "twin_lower_members"]
 
 DEFAULT_SEGMENT_SIZE = 1 << 22
+
+# primes the k-pattern removes; each is 6k -/+ 1 for k = 1 or 2
+_PRESIEVED = (5, 7, 11, 13)
+_PERIOD = 5 * 7 * 11 * 13
+# masks are filled in slices of _TILE entries, a whole number of periods,
+# so one pattern slice serves every fill of a segment
+_TILE = 16 * _PERIOD
+
+
+def _class_pattern(s: int) -> np.ndarray:
+    """Flags k in [0, _PERIOD + _TILE) with 6k + s prime to 5, 7, 11, 13."""
+    v = 6 * np.arange(_PERIOD + _TILE, dtype=np.int64) + s
+    keep = np.ones(len(v), dtype=bool)
+    for q in _PRESIEVED:
+        keep &= v % q != 0
+    keep.flags.writeable = False
+    return keep
+
+
+_PATTERNS = (_class_pattern(-1), _class_pattern(1))
 
 
 @dataclass(frozen=True)
@@ -55,32 +79,55 @@ def _base_prime_array(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def _odd_mask(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
-    """Primality mask for the odd numbers of [lo, hi], lo odd, lo >= 3, by odd base primes."""
-    size = (hi - lo) // 2 + 1
-    mask = np.ones(size, dtype=bool)
-    for p in base_primes:
-        p = int(p)
-        if p * p > hi:
-            break
-        start = ((lo + p - 1) // p) * p
-        if start < p * p:
-            start = p * p
-        if start % 2 == 0:
-            start += p
-        if start > hi:
-            continue
-        mask[(start - lo) // 2 :: p] = False
-    return mask
+@dataclass(frozen=True)
+class _Segment:
+    """The primes of [lo, b + overhang] above 3, on the wheel of 6.
+
+    ``minus[i]`` flags 6(k0 + i) - 1 and ``plus[i]`` flags 6(k0 + i) + 1
+    as prime; entries outside [lo, b + overhang] are False.  The segment
+    owns the primes of [lo, b]; lo == 3 marks the first segment, the one
+    that owns the prime 3.
+    """
+
+    lo: int
+    b: int
+    k0: int
+    minus: np.ndarray
+    plus: np.ndarray
+
+    def primes(self) -> np.ndarray:
+        """Odd primes in [lo, b], ascending int64 (overhang 0)."""
+        both = np.empty(2 * len(self.minus), dtype=bool)
+        both[0::2] = self.minus
+        both[1::2] = self.plus
+        i = np.nonzero(both)[0]
+        p = 6 * self.k0 - 1 + 3 * i - (i & 1)  # i = 2j -> 6(k0+j)-1, 2j+1 -> 6(k0+j)+1
+        return np.concatenate(([3], p)) if self.lo == 3 else p
+
+    def prime_count(self) -> int:
+        """Number of odd primes in [lo, b] (overhang 0)."""
+        n = np.count_nonzero(self.minus) + np.count_nonzero(self.plus)
+        return int(n) + (self.lo == 3)
+
+    def twin_lower(self) -> np.ndarray:
+        """Twin lower members in [lo, b], ascending int64 (overhang 2).
+
+        The masks reach 2 past the segment so a pair whose upper member
+        pokes past the segment edge is still seen by the segment that
+        owns p.
+        """
+        p = 6 * (self.k0 + np.nonzero(self.minus & self.plus)[0]) - 1
+        p = p[p <= self.b]
+        return np.concatenate(([3], p)) if self.lo == 3 else p
 
 
 def _sieved_segments(limit: int, segment_size: int, work, threads: int = 1, overhang: int = 0):
-    """Yield ``work(lo, b, mask)`` for the segments of [3, limit], ascending.
+    """Yield ``work(segment)`` for the ``_Segment``s of [3, limit], ascending.
 
     Segments hold segment_size numbers, the last one fewer; lo is the
-    segment start rounded up to odd, and ``mask`` flags the primes among
-    the odd numbers of [lo, b + overhang], so work may look past b.  With
-    threads > 1 segments are worked on concurrently; results stay in order.
+    segment start rounded up to odd, and a segment is sieved up to
+    b + overhang, so work may look past b.  With threads > 1 segments are
+    worked on concurrently; results stay in order.
     """
     if segment_size < 2:
         raise ValueError(f"segment_size too small: {segment_size}")
@@ -96,11 +143,47 @@ def _sieved_segments(limit: int, segment_size: int, work, threads: int = 1, over
         a = b + 1
     if not segments:
         return
-    base_primes = _base_prime_array(math.isqrt(limit + overhang) + 1)[1:]  # drop 2
+    # below 17 the wheel and the pattern have done the work; each base
+    # prime crosses off, in each class, the k = root (mod p) from p^2 on
+    p = _base_prime_array(math.isqrt(limit + overhang) + 1)
+    p = p[p >= 17]
+    inv6 = np.where(p % 6 == 5, (p + 1) // 6, p - (p - 1) // 6)  # 6 * inv6 = 1 (mod p)
+    root = np.stack((inv6, p - inv6))  # p | 6k - 1, resp. p | 6k + 1
+    k_min = (p * p + np.array([[6], [4]])) // 6  # least k with 6k -/+ 1 >= p^2
+    first = k_min + (root - k_min) % p
 
     def sieve(segment):
         lo, b = segment
-        return work(lo, b, _odd_mask(lo, b + overhang, base_primes))
+        hi = b + overhang
+        k0 = (lo + 4) // 6  # least k with 6k + 1 >= lo
+        size = max((hi + 1) // 6 - k0 + 1, 0)
+        masks = (np.empty(size, dtype=bool), np.empty(size, dtype=bool))
+        offset = k0 % _PERIOD
+        for mask, pattern in zip(masks, _PATTERNS):
+            tile = pattern[offset : offset + _TILE]
+            for j in range(0, size, _TILE):
+                part = mask[j : j + _TILE]
+                part[:] = tile[: len(part)]
+        minus, plus = masks
+        for q in _PRESIEVED:
+            i = (q + 1) // 6 - k0
+            if 0 <= i < size:
+                (minus if q % 6 == 5 else plus)[i] = True
+        n = int(np.searchsorted(p, math.isqrt(hi), side="right"))
+        d = first[:, :n] - k0
+        # first index at or after k0 in each class: d itself, or d mod p once
+        # k0 has passed the prime's first multiple
+        starts = np.maximum(d, d % p[:n])
+        for mask, row in zip(masks, starts):
+            hit = row < size  # short segments miss most primes; skip their slice calls
+            for q, i in zip(p[:n][hit].tolist(), row[hit].tolist()):
+                mask[i::q] = False
+        if size:
+            if 6 * k0 - 1 < lo:
+                minus[0] = False
+            if 6 * (k0 + size - 1) + 1 > hi:
+                plus[-1] = False
+        return work(_Segment(lo, b, k0, minus, plus))
 
     if threads == 1:
         yield from map(sieve, segments)
@@ -109,20 +192,9 @@ def _sieved_segments(limit: int, segment_size: int, work, threads: int = 1, over
         yield from pool.map(sieve, segments)
 
 
-def _twin_lower(lo: int, b: int, mask: np.ndarray) -> np.ndarray:
-    """Twin lower members in [lo, b], ascending, from the mask of [lo, b + 2].
-
-    The mask reaches 2 past the segment so a pair whose upper member pokes
-    past the segment edge is still seen by the segment that owns p.
-    """
-    pair = mask[:-1] & mask[1:]
-    p = lo + 2 * np.nonzero(pair)[0].astype(np.int64)
-    return p[p <= b]
-
-
-def _twin_terms(lo: int, b: int, mask: np.ndarray):
+def _twin_terms(segment: _Segment):
     """(count, lower-bound terms, upper-bound terms) of one segment's twin pairs."""
-    p = _twin_lower(lo, b, mask)
+    p = segment.twin_lower()
     pf = p.astype(np.float64)
     inv_lo = _vdn(_vdn(1.0 / pf) + _vdn(1.0 / (pf + 2.0)))
     inv_hi = _vup(_vup(1.0 / pf) + _vup(1.0 / (pf + 2.0)))
@@ -159,7 +231,7 @@ def census(
 
 def twin_lower_members(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
     """All p <= limit with p and p + 2 prime, ascending int64 array."""
-    parts = list(_sieved_segments(limit, segment_size, _twin_lower, overhang=2))
+    parts = list(_sieved_segments(limit, segment_size, _Segment.twin_lower, overhang=2))
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
@@ -169,9 +241,5 @@ def prime_count(
     threads: int = 1,
 ) -> int:
     """pi(limit), exactly, by the same segmented machinery."""
-
-    def count(lo, b, mask):
-        return int(np.count_nonzero(mask))
-
-    odd = sum(_sieved_segments(limit, segment_size, count, threads))
+    odd = sum(_sieved_segments(limit, segment_size, _Segment.prime_count, threads))
     return odd + 1 if limit >= 2 else 0  # the prime 2

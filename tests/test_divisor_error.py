@@ -3,11 +3,14 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brun.divisor_error import (
+    _POW_PAD,
     GAMMA0,
     GAMMA1,
     divisor_sum,
@@ -133,3 +136,20 @@ class TestScan:
         iv = abs(error_term(x))
         achieved = iv.lo * math.pow(x, float(alpha)) * (1.0 - 1e-12)
         assert achieved <= scan.bound.hi
+
+
+class TestPowerPad:
+    """``_POW_PAD`` against 40-digit powers with the exact rational exponent."""
+
+    @pytest.mark.parametrize("alpha", [Fraction(2, 5), Fraction(1, 3)])
+    def test_np_power(self, alpha):
+        rng = np.random.default_rng(2018)
+        x = np.exp(rng.uniform(math.log(3.5), math.log(1e10), 3000))
+        got = np.power(x, float(alpha))
+        worst = 0.0
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha.numerator) / alpha.denominator
+            for xi, yi in zip(x.tolist(), got.tolist()):
+                exact = mpmath.mpf(xi) ** a
+                worst = max(worst, float(abs((yi - exact) / exact)))
+        assert worst <= _POW_PAD / 2, worst / _POW_PAD

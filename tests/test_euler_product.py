@@ -4,12 +4,18 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brun import euler_product
 from brun.euler_product import (
+    _VEC_PAD,
     GFactor,
+    _fold_odd_primes,
+    _h_local_log_terms,
     g_factor_log,
     g_value,
     h_bound,
@@ -33,6 +39,10 @@ def contains(iv: Interval, d: Decimal) -> bool:
 
 def hex_ends(iv: Interval) -> tuple:
     return iv.lo.hex(), iv.hi.hex()
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 class TestGValues:
@@ -79,6 +89,65 @@ class TestLocalFactorLog:
         for s in (Fraction(1, 3), Fraction(-1, 2), Fraction(0), Fraction(-2, 3)):
             with pytest.raises(ValueError):
                 g_factor_log(3, s)
+
+
+class TestPrimeBlocks:
+    """The per-segment prime blocks both products fold."""
+
+    @staticmethod
+    def fold(cutoff):
+        blocks = []
+
+        def block(pf):
+            blocks.append([int(p) for p in pf])
+            return None
+
+        total, pi_cutoff = _fold_odd_primes(cutoff, Interval(0.0, 0.0), block)
+        assert total == Interval(0.0, 0.0)
+        return blocks, pi_cutoff
+
+    def check(self, cutoff, blocks, pi_cutoff):
+        odd_primes = [n for n in range(3, cutoff + 1) if is_prime(n)]
+        assert pi_cutoff == len(odd_primes) + (cutoff >= 2), cutoff
+        assert [p for b in blocks for p in b] == odd_primes, cutoff
+        if cutoff >= 3:
+            assert blocks[0][0] == 3, cutoff
+
+    def test_one_block_per_cutoff(self):
+        for cutoff in range(401):
+            blocks, pi_cutoff = self.fold(cutoff)
+            assert len(blocks) == (cutoff >= 3)
+            self.check(cutoff, blocks, pi_cutoff)
+
+    def test_short_segments(self, monkeypatch):
+        for segment in (2, 7, 30):
+            monkeypatch.setattr(euler_product, "_S1_SEGMENT", segment)
+            for cutoff in range(401):
+                self.check(cutoff, *self.fold(cutoff))
+
+
+class TestVectorPad:
+    """``_VEC_PAD`` against 40-digit values of the local log terms."""
+
+    @pytest.mark.parametrize("alpha", [Fraction(2, 5), Fraction(1, 3)])
+    def test_local_log_terms(self, alpha):
+        rng = np.random.default_rng(2018)
+        x = np.exp(rng.uniform(math.log(3.5), math.log(1e10), 3000))
+        got = _h_local_log_terms(x, alpha)
+        worst = 0.0
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha.numerator) / alpha.denominator
+            for xi, yi in zip(x.tolist(), got.tolist()):
+                p = mpmath.mpf(xi)
+                num = (
+                    4 * p ** (1 + a)
+                    + 3 * p ** (1 + 2 * a)
+                    + 2 * p ** (2 * a)
+                    + 2 * p ** (3 * a)
+                )
+                exact = mpmath.log1p(num / (p * p * (p - 2)))
+                worst = max(worst, float(abs((yi - exact) / exact)))
+        assert worst <= _VEC_PAD / 2, worst / _VEC_PAD
 
 
 class TestHBound:

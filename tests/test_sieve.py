@@ -1,5 +1,6 @@
 """Twin sieve: counts against trial division, certified sums, partitioning."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brun.sieve import TwinCensus, census, prime_count, twin_lower_members
+from brun.sieve import (
+    _Segment,
+    _sieved_segments,
+    census,
+    prime_count,
+    twin_lower_members,
+)
 
 
 def is_prime(n: int) -> bool:
@@ -25,6 +32,16 @@ def is_prime(n: int) -> bool:
 
 def twins_by_trial_division(limit: int) -> list:
     return [p for p in range(3, limit + 1, 2) if is_prime(p) and is_prime(p + 2)]
+
+
+def primes_by_wheel(limit: int, segment_size: int) -> list:
+    """All primes <= limit from the segment kernel's own prime lists."""
+    parts = _sieved_segments(limit, segment_size, _Segment.primes)
+    return ([2] if limit >= 2 else []) + [int(p) for part in parts for p in part]
+
+
+def hex_ends(c) -> tuple:
+    return c.brun_partial.lo.hex(), c.brun_partial.hi.hex()
 
 
 class TestCounts:
@@ -117,6 +134,91 @@ class TestPartitionIndependence:
     @settings(max_examples=30, deadline=None)
     def test_counts_match_trial_division(self, limit):
         assert census(limit).pi2 == len(twins_by_trial_division(limit))
+
+    @given(
+        st.integers(min_value=0, max_value=5000),
+        st.integers(min_value=2, max_value=600),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_prime_count_matches_trial_division(self, limit, segment_size):
+        expected = sum(1 for n in range(limit + 1) if is_prime(n))
+        assert prime_count(limit, segment_size) == expected
+
+
+class TestPinnedOutputs:
+    """Values captured from the odd-number sieve the wheel kernel replaced."""
+
+    def test_census_1e8(self):
+        c = census(10**8)
+        assert c.pi2 == 440312
+        assert hex_ends(c) == ("0x1.c241bd93c2c39p+0", "0x1.c241bd9499c2ap+0")
+
+    def test_census_odd_segment_threads(self):
+        c = census(10**7, segment_size=10007, threads=2)
+        assert c.pi2 == 58980
+        assert hex_ends(c) == ("0x1.bd04f79c56eeep+0", "0x1.bd04f79c73bb7p+0")
+
+    def test_prime_count_1e8(self):
+        assert prime_count(10**8) == 5761455
+
+    def test_twin_members_digest(self):
+        members = twin_lower_members(10**7)
+        assert len(members) == 58980
+        digest = hashlib.sha256(members.astype("<i8").tobytes()).hexdigest()
+        assert digest == "5891c81eddec804c0fce7acf5e2da3456b53eb41bcf2e277df96e4fb098d29c0"
+
+
+class TestWheelEdges:
+    """The 6k -/+ 1 masks, the pre-sieve pattern and segment edges."""
+
+    SEGMENTS = (2, 3, 5, 6, 7, 12, 13)
+    PERIOD = 6 * 5005  # the pattern repeats every 5005 values of k
+
+    def test_every_small_limit(self):
+        flags = [is_prime(n) for n in range(403)]
+        for limit in range(401):
+            count = sum(flags[: limit + 1])
+            twins = [p for p in range(3, limit + 1) if flags[p] and flags[p + 2]]
+            for segment_size in self.SEGMENTS:
+                assert prime_count(limit, segment_size) == count, (limit, segment_size)
+                members = twin_lower_members(limit, segment_size).tolist()
+                assert members == twins, (limit, segment_size)
+
+    def test_presieved_primes_and_their_products(self):
+        for segment_size in self.SEGMENTS + (4096,):
+            primes = set(primes_by_wheel(200, segment_size))
+            assert {2, 3, 5, 7, 11, 13, 17, 19} <= primes, segment_size
+            assert not {25, 35, 49, 121, 143, 169} & primes, segment_size
+            assert sorted(primes) == [n for n in range(201) if is_prime(n)]
+
+    def test_limits_and_segments_across_the_period(self):
+        for center in (self.PERIOD, 2 * self.PERIOD):
+            window = range(center - 40, center + 41)
+            base = prime_count(center - 41)
+            flags = [is_prime(n) for n in window]
+            for segment_size in (1000, center - 9, center + 4):
+                for i, limit in enumerate(window):
+                    expected = base + sum(flags[: i + 1])
+                    assert prime_count(limit, segment_size) == expected, (limit, segment_size)
+            limit = center + 40
+            primes = [n for n in range(limit + 1) if is_prime(n)]
+            twins = twins_by_trial_division(limit)
+            for segment_size in (7, 13, 4096, center - 9):
+                assert primes_by_wheel(limit, segment_size) == primes, segment_size
+                members = twin_lower_members(limit, segment_size).tolist()
+                assert members == twins, segment_size
+
+    def test_prime_lists_across_mask_fills(self):
+        # segments longer than one pattern fill, starting anywhere in the period
+        limit = 1_500_000
+        flags = bytearray([1]) * (limit + 1)
+        flags[:2] = b"\0\0"
+        for n in range(2, math.isqrt(limit) + 1):
+            if flags[n]:
+                flags[n * n :: n] = bytes(len(range(n * n, limit + 1, n)))
+        expected = [n for n in range(limit + 1) if flags[n]]
+        for segment_size in (480_487, 1 << 20):
+            assert primes_by_wheel(limit, segment_size) == expected, segment_size
 
 
 class TestValidation:
