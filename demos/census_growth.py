@@ -7,7 +7,7 @@ painfully slowly: squaring the threshold moves the sum by roughly the
 same small increment every time, which is why certified bounds need the
 sieve-theoretic tail machinery instead of raw summation.
 
-The last block repeats one census with different thread counts to show
+The last block repeats one census with different segment sizes to show
 the enclosure is bit-identical regardless of how the range is split.
 """
 
@@ -31,10 +31,10 @@ def main():
 
     print()
     print("partition independence at 10^8:")
-    for threads in (1, 2, 8):
-        result = census(10**8, threads=threads)
+    for segment_size in (10007, 1 << 20, 1 << 22):
+        result = census(10**8, segment_size=segment_size)
         print(
-            f"  threads={threads}  pi2={result.pi2}  "
+            f"  segment_size={segment_size:<8}  pi2={result.pi2}  "
             f"lo={result.brun_partial.lo.hex()}  hi={result.brun_partial.hi.hex()}"
         )
 

@@ -50,7 +50,7 @@ def main():
     args = parser.parse_args()
 
     print(f"stage 1: self-contained, census to {args.limit:.0e}")
-    counted = census(args.limit, threads=4)
+    counted = census(args.limit)
     # at small thresholds the constant enclosures already make the tail
     # integrand a few 1e-4 wide, so a 1e-6 certificate is unreachable;
     # ask for a width the parameters can actually deliver

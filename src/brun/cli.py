@@ -10,7 +10,7 @@ Machine-readable artifacts are JSON with interval endpoints serialized
 as outward-rounded decimal strings alongside exact hex doubles, plus the
 tool version and sha256 hashes of any file inputs.  No timestamps, no
 environment capture: reruns with the same inputs are byte-identical,
-whatever the thread count.  Exit codes: 0 success, 1 usage error, 2
+whatever the segment size.  Exit codes: 0 success, 1 usage error, 2
 computation error.
 """
 
@@ -177,8 +177,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
             {
                 "command": "census",
                 "version": __version__,
-                # segment size and thread count are scheduling knobs with
-                # no effect on results, so they stay out of the artifact
+                # segment size and thread count have no effect on
+                # results, so they stay out of the artifact
                 "inputs": {"limit": args.limit},
                 "pi2": result.pi2,
                 "brun_partial": _interval_json(result.brun_partial),
@@ -243,7 +243,7 @@ def _cmd_scan_c(args: argparse.Namespace) -> int:
 
 
 def _cmd_h_bound(args: argparse.Namespace) -> int:
-    report = h_bound(args.cutoff, args.alpha, threads=args.threads)
+    report = h_bound(args.cutoff, args.alpha)
     print(f"H <= {_dec_up(report.h.hi)}")
     print(f"log bound in [{_dec_down(report.log_bound.lo)}, {_dec_up(report.log_bound.hi)}]")
     if args.json:
@@ -418,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("census", help="sieve an exact census up to a limit")
     p.add_argument("--limit", type=_positive_int, required=True)
     p.add_argument("--segment-size", type=_positive_int, default=DEFAULT_SEGMENT_SIZE)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1, help="must be >= 1; has no effect")
     p.add_argument("--emit-table", metavar="PATH", help="write the count as a table row")
     p.add_argument("--json", metavar="PATH", help="write a JSON artifact")
     p.set_defaults(handler=_cmd_census)
@@ -437,7 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("h-bound", help="certified product bound from a prime cutoff")
     p.add_argument("--cutoff", type=_positive_int, required=True)
     p.add_argument("--alpha", type=_fraction, default=Fraction(2, 5))
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--json", metavar="PATH", help="write a JSON artifact")
     p.set_defaults(handler=_cmd_h_bound)
 

@@ -74,9 +74,12 @@ class DivisorErrorScan:
 
 
 def _divisor_counts(xmax: int) -> np.ndarray:
+    # divisors pair up as k <= n/k: each k <= sqrt(n) counts itself and
+    # its cofactor, once only when n = k^2
     counts = np.zeros(xmax, dtype=np.int64)
-    for k in range(1, xmax + 1):
-        counts[k - 1 :: k] += 1
+    for k in range(1, math.isqrt(xmax) + 1):
+        counts[k * k - 1 :: k] += 2
+        counts[k * k - 1] -= 1
     return counts
 
 
@@ -89,11 +92,15 @@ def _cumulative_sum_bounds(xmax: int):
     return _vdn(s - pad), _vup(s + pad)
 
 
+def _log_bounds(xmax: int):
+    """Directed bounds for log n, n = 1..xmax: two ulps cover np.log."""
+    log_n = np.log(np.arange(1, xmax + 1, dtype=np.float64))
+    return np.maximum(_vdn(_vdn(log_n)), 0.0), _vup(_vup(log_n))  # log n >= 0 here
+
+
 def _analytic_bounds(xmax: int):
     """Directed bounds for A(n), n = 1..xmax, using the gamma windows."""
-    n = np.arange(1, xmax + 1, dtype=np.float64)
-    log_lo = np.maximum(_vdn(_vdn(np.log(n))), 0.0)  # log n >= 0 here
-    log_hi = _vup(_vup(np.log(n)))
+    log_lo, log_hi = _log_bounds(xmax)
     c0 = GAMMA0 * GAMMA0 - 2 * GAMMA1  # positive
     # A is increasing in g0 and decreasing in g1 when log n >= 0
     a_lo = _vdn(_vdn(0.5 * log_lo * log_lo) + _vdn(_vdn(2.0 * GAMMA0.lo * log_lo) + c0.lo))

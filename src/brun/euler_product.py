@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .interval import Interval, _down, _up, _vdn, _vup, ei_neg, rational_pow
-from .sieve import _sieved_segments
+from .sieve import _Segment, _sieved_segments
 
 __all__ = [
     "GFactor",
@@ -141,21 +141,18 @@ def _padded_block_sum(y: np.ndarray) -> Interval:
     return Interval(lo, hi)
 
 
-def _fold_odd_primes(cutoff: int, total: Interval, block, threads: int = 1):
+def _fold_odd_primes(cutoff: int, total: Interval, block):
     """(total + the blocks, pi(cutoff)), counted in the same sieve pass.
 
     ``block`` maps one segment's odd primes, as float64, to the Interval
     to add, or to None to add nothing; segments are folded in ascending
     order, _S1_SEGMENT numbers each.
     """
-
-    def work(segment):
-        pf = segment.primes().astype(np.float64)
-        return len(pf), block(pf)
-
     pi_cutoff = 1 if cutoff >= 2 else 0  # the prime 2
-    for count, part in _sieved_segments(cutoff, _S1_SEGMENT, work, threads):
-        pi_cutoff += count
+    for primes in map(_Segment.primes, _sieved_segments(cutoff, _S1_SEGMENT)):
+        pf = primes.astype(np.float64)
+        pi_cutoff += len(pf)
+        part = block(pf)
         if part is not None:
             total = total + part
     return total, pi_cutoff
@@ -213,7 +210,7 @@ def _tail_envelope_coefficient(t: Interval, alpha: Fraction) -> Interval:
     ) / (t - 2)
 
 
-def h_bound(cutoff: int, alpha: Fraction, threads: int = 1) -> HBoundReport:
+def h_bound(cutoff: int, alpha: Fraction) -> HBoundReport:
     """Enclose H(-alpha) using primes up to ``cutoff``.
 
     The lower end is the partial product alone (every tail factor
@@ -238,7 +235,7 @@ def h_bound(cutoff: int, alpha: Fraction, threads: int = 1) -> HBoundReport:
             return Interval(0.0, 0.0)
         return _padded_block_sum(_h_local_log_terms(pf, alpha))
 
-    s1, pi_cutoff = _fold_odd_primes(cutoff, g_factor_log(2, -alpha), block, threads)
+    s1, pi_cutoff = _fold_odd_primes(cutoff, g_factor_log(2, -alpha), block)
 
     t0 = Interval.from_int(cutoff)
     k1 = _tail_envelope_coefficient(t0, alpha) * 1.000001
@@ -282,7 +279,7 @@ def _check_tail_domination(cutoff: int, alpha: Fraction, k1: Interval) -> None:
             break
 
 
-def twin_constant(cutoff: int, threads: int = 1) -> Interval:
+def twin_constant(cutoff: int) -> Interval:
     """Enclosure of the twin prime constant 2 prod_{p>2} (1 - 1/(p-1)^2).
 
     The partial product over p <= cutoff is an upper bound already; the
@@ -299,7 +296,7 @@ def twin_constant(cutoff: int, threads: int = 1) -> Interval:
         q = pf - 1.0
         return _padded_block_sum(np.log1p(-1.0 / (q * q)))
 
-    log_sum, pi_cutoff = _fold_odd_primes(cutoff, Interval(0.0, 0.0), block, threads)
+    log_sum, pi_cutoff = _fold_odd_primes(cutoff, Interval(0.0, 0.0), block)
     partial = 2 * log_sum.exp()
 
     t0 = Interval.from_int(cutoff)

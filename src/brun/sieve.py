@@ -5,18 +5,18 @@ Its kernel is a segmented Eratosthenes on the wheel of 6: every prime
 above 3 is 6k - 1 or 6k + 1, so each segment keeps two k-indexed numpy
 byte masks, one per class, a sixth of the segment each.  A 5005-periodic
 k-pattern pre-sieves 5, 7, 11 and 13, and base primes from 17 on cross
-off the rest.  Each segment goes to a callback as a ``_Segment``, which
-lists its primes, counts them or lists its twin lower members; results
-come back in ascending order.  ``census``, ``twin_lower_members`` and
-``prime_count`` here, and both Euler products in ``euler_product``, are
-written as such callbacks.
+off the rest.  The generator yields each segment, in ascending order and
+on the calling thread, as a ``_Segment``, which lists its primes, counts
+them or lists its twin lower members.  ``census``, ``twin_lower_members``
+and ``prime_count`` here, and both Euler products in ``euler_product``,
+map their per-segment work over it.
 
 What makes the census worth a module is its accumulation contract: the
 partial sum of 1/p + 1/(p+2) over twin pairs is carried as a pair of
 directed-rounding floats, added term by term in ascending prime order on
 the calling thread.  Because the chain never depends on where segment
 boundaries fall, the same limit produces bit-identical enclosure endpoints
-for every segment size and thread count.
+for every segment size.
 
 A twin pair (p, p+2) is counted at its lower member: pi2(x) counts pairs
 with p <= x, and the running sum includes both reciprocals of such pairs
@@ -26,7 +26,6 @@ even when p + 2 > x.  Every pair but (3, 5) is (6k - 1, 6k + 1).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +39,11 @@ DEFAULT_SEGMENT_SIZE = 1 << 22
 # primes the k-pattern removes; each is 6k -/+ 1 for k = 1 or 2
 _PRESIEVED = (5, 7, 11, 13)
 _PERIOD = 5 * 7 * 11 * 13
-# masks are filled in slices of _TILE entries, a whole number of periods,
-# so one pattern slice serves every fill of a segment
-_TILE = 16 * _PERIOD
 
 
 def _class_pattern(s: int) -> np.ndarray:
-    """Flags k in [0, _PERIOD + _TILE) with 6k + s prime to 5, 7, 11, 13."""
-    v = 6 * np.arange(_PERIOD + _TILE, dtype=np.int64) + s
+    """Flags k in [0, _PERIOD) with 6k + s prime to 5, 7, 11, 13."""
+    v = 6 * np.arange(_PERIOD, dtype=np.int64) + s
     keep = np.ones(len(v), dtype=bool)
     for q in _PRESIEVED:
         keep &= v % q != 0
@@ -121,27 +117,19 @@ class _Segment:
         return np.concatenate(([3], p)) if self.lo == 3 else p
 
 
-def _sieved_segments(limit: int, segment_size: int, work, threads: int = 1, overhang: int = 0):
-    """Yield ``work(segment)`` for the ``_Segment``s of [3, limit], ascending.
+def _sieved_segments(limit: int, segment_size: int, overhang: int = 0):
+    """Yield the ``_Segment``s of [3, limit], ascending.
 
     Segments hold segment_size numbers, the last one fewer; lo is the
     segment start rounded up to odd, and a segment is sieved up to
-    b + overhang, so work may look past b.  With threads > 1 segments are
-    worked on concurrently; results stay in order.
+    b + overhang, so its consumer may look past b.  Consumers ``map`` over
+    it, which frees each segment before the next is sieved; under glibc,
+    holding one across the next sieve cost census(1e9) 42k page faults,
+    not 2.6k.
     """
     if segment_size < 2:
         raise ValueError(f"segment_size too small: {segment_size}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1: {threads}")
-    segments = []
-    a = 3
-    while a <= limit:
-        b = min(a + segment_size - 1, limit)
-        lo = a if a % 2 == 1 else a + 1
-        if lo <= b:
-            segments.append((lo, b))
-        a = b + 1
-    if not segments:
+    if limit < 3:
         return
     # below 17 the wheel and the pattern have done the work; each base
     # prime crosses off, in each class, the k = root (mod p) from p^2 on
@@ -152,18 +140,14 @@ def _sieved_segments(limit: int, segment_size: int, work, threads: int = 1, over
     k_min = (p * p + np.array([[6], [4]])) // 6  # least k with 6k -/+ 1 >= p^2
     first = k_min + (root - k_min) % p
 
-    def sieve(segment):
-        lo, b = segment
+    def sieve(lo, b):
         hi = b + overhang
         k0 = (lo + 4) // 6  # least k with 6k + 1 >= lo
         size = max((hi + 1) // 6 - k0 + 1, 0)
-        masks = (np.empty(size, dtype=bool), np.empty(size, dtype=bool))
+        # the pattern tiled from k = 0, cut to the segment's window of k
         offset = k0 % _PERIOD
-        for mask, pattern in zip(masks, _PATTERNS):
-            tile = pattern[offset : offset + _TILE]
-            for j in range(0, size, _TILE):
-                part = mask[j : j + _TILE]
-                part[:] = tile[: len(part)]
+        reps = -(-(offset + size) // _PERIOD)
+        masks = [np.tile(pattern, reps)[offset : offset + size] for pattern in _PATTERNS]
         minus, plus = masks
         for q in _PRESIEVED:
             i = (q + 1) // 6 - k0
@@ -183,13 +167,13 @@ def _sieved_segments(limit: int, segment_size: int, work, threads: int = 1, over
                 minus[0] = False
             if 6 * (k0 + size - 1) + 1 > hi:
                 plus[-1] = False
-        return work(_Segment(lo, b, k0, minus, plus))
+        return _Segment(lo, b, k0, minus, plus)
 
-    if threads == 1:
-        yield from map(sieve, segments)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(sieve, segments)
+    for a in range(3, limit + 1, segment_size):
+        lo = a if a % 2 == 1 else a + 1
+        b = min(a + segment_size - 1, limit)
+        if lo <= b:
+            yield sieve(lo, b)
 
 
 def _twin_terms(segment: _Segment):
@@ -208,19 +192,22 @@ def census(
 ) -> TwinCensus:
     """Count twin pairs up to ``limit`` and enclose their reciprocal sum.
 
-    ``segment_size`` and ``threads`` are performance knobs only: every
-    choice yields the same pi2 and bit-identical brun_partial endpoints.
-    Workers sieve segments concurrently; the accumulation happens on this
-    thread, strictly in ascending segment order, one term at a time.
+    ``segment_size`` is a performance knob only: every choice yields the
+    same pi2 and bit-identical brun_partial endpoints.  Segments are
+    sieved and accumulated on this thread, strictly in ascending order,
+    one term at a time.  ``threads`` must be at least 1 and no longer
+    changes how the work runs.
     """
     if limit < 0:
         raise ValueError(f"negative limit: {limit}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1: {threads}")
     pi2 = 0
     acc_lo = 0.0
     acc_hi = 0.0
     nextafter = math.nextafter
-    segments = _sieved_segments(limit, segment_size, _twin_terms, threads, overhang=2)
-    for count, inv_lo, inv_hi in segments:
+    segments = _sieved_segments(limit, segment_size, overhang=2)
+    for count, inv_lo, inv_hi in map(_twin_terms, segments):
         pi2 += count
         for t in inv_lo.tolist():
             acc_lo = nextafter(acc_lo + t, _NINF)
@@ -231,15 +218,11 @@ def census(
 
 def twin_lower_members(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
     """All p <= limit with p and p + 2 prime, ascending int64 array."""
-    parts = list(_sieved_segments(limit, segment_size, _Segment.twin_lower, overhang=2))
+    parts = list(map(_Segment.twin_lower, _sieved_segments(limit, segment_size, overhang=2)))
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
-def prime_count(
-    limit: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int = 1,
-) -> int:
+def prime_count(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     """pi(limit), exactly, by the same segmented machinery."""
-    odd = sum(_sieved_segments(limit, segment_size, _Segment.prime_count, threads))
+    odd = sum(map(_Segment.prime_count, _sieved_segments(limit, segment_size)))
     return odd + 1 if limit >= 2 else 0  # the prime 2

@@ -13,6 +13,9 @@ from brun.divisor_error import (
     _POW_PAD,
     GAMMA0,
     GAMMA1,
+    _analytic_bounds,
+    _divisor_counts,
+    _log_bounds,
     divisor_sum,
     error_term,
     scan_c,
@@ -20,12 +23,22 @@ from brun.divisor_error import (
 from brun.interval import Interval
 
 
-def exact_divisor_sum(x: int) -> Fraction:
+def divisor_counts_by_multiples(x: int) -> list:
+    """d(n) for n = 0..x, one pass over the multiples of every k <= x."""
     counts = [0] * (x + 1)
     for k in range(1, x + 1):
         for m in range(k, x + 1, k):
             counts[m] += 1
+    return counts
+
+
+def exact_divisor_sum(x: int) -> Fraction:
+    counts = divisor_counts_by_multiples(x)
     return sum(Fraction(counts[n], n) for n in range(1, x + 1))
+
+
+def hex_ends(iv: Interval) -> tuple:
+    return iv.lo.hex(), iv.hi.hex()
 
 
 class TestGammaWindows:
@@ -39,6 +52,13 @@ class TestGammaWindows:
 
 
 class TestDivisorSum:
+    def test_divisor_counts_brute_force(self):
+        counts = divisor_counts_by_multiples(300)
+        for xmax in range(1, 301):
+            got = _divisor_counts(xmax)
+            assert got.dtype == np.int64
+            assert got.tolist() == counts[1 : xmax + 1], xmax
+
     def test_small_exact(self):
         for x in (1, 2, 3, 10, 50):
             iv = divisor_sum(x)
@@ -116,6 +136,14 @@ class TestScan:
         assert scan.head.hi > scan.scanned.hi
         assert scan.bound.hi == scan.head.hi
 
+    def test_exact_bits(self):
+        # captured before the divisor counts were built from divisor pairs
+        scan = scan_c(Fraction(2, 5), 10**5)
+        assert hex_ends(scan.bound) == ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0")
+        assert hex_ends(scan.head) == ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0")
+        assert hex_ends(scan.scanned) == ("0x1.5ae021eb6d752p-1", "0x1.7dfef9da61bedp-1")
+        assert scan.argmax.hex() == "0x1.029084d1dafccp-9"
+
     def test_deterministic(self):
         a = scan_c(Fraction(1, 3), 2000)
         b = scan_c(Fraction(1, 3), 2000)
@@ -153,3 +181,27 @@ class TestPowerPad:
                 exact = mpmath.mpf(xi) ** a
                 worst = max(worst, float(abs((yi - exact) / exact)))
         assert worst <= _POW_PAD / 2, worst / _POW_PAD
+
+
+class TestAnalyticBounds:
+    """The two-ulp ``np.log`` pipeline against 40-digit log n and A(n)."""
+
+    XMAX = 10**6
+
+    def test_log_and_model_oracle(self):
+        rng = np.random.default_rng(2018)
+        sample = np.exp(rng.uniform(0.0, math.log(self.XMAX), 3000)).astype(np.int64)
+        powers = [2**k for k in range(self.XMAX.bit_length())]
+        ns = sorted(set(range(1, 2001)) | set(powers) | set(sample.tolist()))
+        assert ns[-1] <= self.XMAX
+        log_lo, log_hi = _log_bounds(self.XMAX)
+        a_lo, a_hi = _analytic_bounds(self.XMAX)
+        with mpmath.workdps(40):
+            g0 = mpmath.euler
+            g1 = mpmath.stieltjes(1)
+            for n in ns:
+                log_n = mpmath.log(n)
+                a = log_n * log_n / 2 + 2 * g0 * log_n + g0 * g0 - 2 * g1
+                i = n - 1
+                assert mpmath.mpf(log_lo[i]) <= log_n <= mpmath.mpf(log_hi[i]), n
+                assert mpmath.mpf(a_lo[i]) <= a <= mpmath.mpf(a_hi[i]), n

@@ -196,12 +196,6 @@ class TestHBound:
         s1 = h_bound(2**24 + 20, Fraction(2, 5)).partial_log_sum
         assert hex_ends(s1) == ("0x1.b526634da1a8ep+2", "0x1.b526634da1af6p+2")
 
-    def test_threads_do_not_change_result(self):
-        a = h_bound(10**6, Fraction(2, 5))
-        b = h_bound(10**6, Fraction(2, 5), threads=4)
-        assert a.h == b.h
-        assert a.partial_log_sum == b.partial_log_sum
-
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             h_bound(10, Fraction(2, 5))
@@ -223,9 +217,6 @@ class TestTwinConstant:
         # fold skips
         assert hex_ends(twin_constant(10**6)) == ("0x1.5200ba7efc024p+0", "0x1.5200bc42998aep+0")
         assert hex_ends(twin_constant(2**24 + 20)) == ("0x1.5200babf718f2p+0", "0x1.5200bad57b603p+0")
-
-    def test_threads_do_not_change_result(self):
-        assert twin_constant(10**6, threads=2) == twin_constant(10**6)
 
     def test_small_cutoff_coarse_tail(self):
         iv = twin_constant(3)

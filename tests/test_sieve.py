@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brun.sieve import (
-    _Segment,
     _sieved_segments,
     census,
     prime_count,
@@ -36,8 +35,8 @@ def twins_by_trial_division(limit: int) -> list:
 
 def primes_by_wheel(limit: int, segment_size: int) -> list:
     """All primes <= limit from the segment kernel's own prime lists."""
-    parts = _sieved_segments(limit, segment_size, _Segment.primes)
-    return ([2] if limit >= 2 else []) + [int(p) for part in parts for p in part]
+    segments = _sieved_segments(limit, segment_size)
+    return ([2] if limit >= 2 else []) + [int(p) for s in segments for p in s.primes()]
 
 
 def hex_ends(c) -> tuple:
@@ -107,8 +106,7 @@ class TestPartitionIndependence:
             for threads in (1, 3):
                 c = census(limit, segment_size=segment_size, threads=threads)
                 assert c == reference, (segment_size, threads)
-                n = prime_count(limit, segment_size=segment_size, threads=threads)
-                assert n == primes, (segment_size, threads)
+            assert prime_count(limit, segment_size=segment_size) == primes, segment_size
             assert twin_lower_members(limit, segment_size).tolist() == members, segment_size
 
     def test_boundary_splits_a_pair(self):
@@ -209,7 +207,7 @@ class TestWheelEdges:
                 assert members == twins, segment_size
 
     def test_prime_lists_across_mask_fills(self):
-        # segments longer than one pattern fill, starting anywhere in the period
+        # segments spanning many pattern periods, starting anywhere in one
         limit = 1_500_000
         flags = bytearray([1]) * (limit + 1)
         flags[:2] = b"\0\0"
@@ -234,5 +232,3 @@ class TestValidation:
                 prime_count(100, segment_size=segment_size)
             with pytest.raises(ValueError, match="segment_size too small"):
                 twin_lower_members(100, segment_size=segment_size)
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            prime_count(100, threads=0)
