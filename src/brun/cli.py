@@ -20,6 +20,7 @@ import argparse
 import decimal
 import hashlib
 import json
+import math
 import os
 import sys
 from decimal import Decimal
@@ -116,8 +117,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
     return value
 
 

@@ -6,9 +6,9 @@ predictions through the certified tail assembly shows where the upper
 bound would land if a census ever reached 10^k.
 
 Nothing here is rigorous: the predictions use a midpoint twin constant
-and floating point quadrature, and every output carries a permanent
-``non_rigorous`` flag.  The certifying entry points accept censused
-integers only, so projections cannot leak into a certificate.
+and fixed composite Gauss-Legendre quadrature, and every output carries
+a permanent ``non_rigorous`` flag.  The certifying entry points accept
+censused integers only, so projections cannot leak into a certificate.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List
 
-from scipy.integrate import quad
+import numpy as np
 
 from .interval import Interval
 from .rv_bound import QuadratureError, RVParams, brun_upper, derive_params
@@ -37,6 +37,9 @@ TWIN_C_MID = 1.3203236316937391
 #: Conjectured value of the full reciprocal sum used as the projection
 #: basis; the center of the best published statistical estimate.
 DEFAULT_B_ASSUMED = 1.9021605832
+
+#: 20-point Gauss-Legendre rule on [-1, 1], applied to each panel of predict_pi2.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
 @dataclass(frozen=True)
@@ -66,17 +69,18 @@ def predict_pi2(x: float) -> float:
     """Predicted pair count: C integral from 2 to x of dt/log^2 t.
 
     Integrates in the shifted log coordinate v = log x - log t, where the
-    integrand x e^(-v)/(log x - v)^2 decays instead of blowing up, then
-    lets adaptive floating point quadrature do the rest.  Heuristic
-    output only.
+    integrand x e^(-v)/(log x - v)^2 decays instead of blowing up, with a
+    fixed composite Gauss-Legendre rule: 20 nodes on each of the
+    ceil(log(x/2)) equal panels of width at most 1.  Heuristic output only.
     """
-    if not x > 2.0:
-        raise ValueError(f"need x > 2: {x}")
+    if not (x > 2.0 and math.isfinite(x)):
+        raise ValueError(f"need finite x > 2: {x}")
     lx = math.log(x)
     span = lx - math.log(2.0)
-    integral, _ = quad(
-        lambda v: math.exp(-v) / (lx - v) ** 2, 0.0, span, limit=200
-    )
+    panels = math.ceil(span)
+    half = 0.5 * span / panels
+    v = np.linspace(0.0, span, panels + 1)[:-1, None] + half * (_GL_NODES + 1.0)
+    integral = half * float(np.sum(_GL_WEIGHTS * np.exp(-v) / (lx - v) ** 2))
     return TWIN_C_MID * x * integral
 
 

@@ -49,6 +49,9 @@ class TestUsage:
         assert main(["census", "--limit", "2.5"]) == 1
         assert main(["scan-c", "--alpha", "abc"]) == 1
         assert main(["project", "--ks", "a,b"]) == 1
+        assert main(CERTIFY_NUMERIC + ["--cutoff-u", "inf"]) == 1
+        assert main(CERTIFY_NUMERIC + ["--width-target", "inf"]) == 1
+        assert main(["project", "--ks", "19", "--b-assumed", "inf"]) == 1
 
 
 class TestCensus:
@@ -238,3 +241,21 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert "brun" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is not a dependency; a module-level import would cost every
+    # subcommand its start-up time
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import brun.cli, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

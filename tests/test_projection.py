@@ -2,8 +2,8 @@
 
 import math
 
+import mpmath
 import pytest
-from scipy.special import expi
 
 from brun.projection import (
     DEFAULT_B_ASSUMED,
@@ -25,12 +25,14 @@ ROWS = {
 }
 
 
-def li_form(x: float) -> float:
-    # C (li(x) - x/log x - li(2) + 2/log 2), an independent closed form
-    # for the same integral
-    lx = math.log(x)
-    l2 = math.log(2.0)
-    return TWIN_C_MID * (expi(lx) - x / lx - expi(l2) + 2.0 / l2)
+def li_form(x: float) -> mpmath.mpf:
+    # C (li(x) - li(2) - x/log x + 2/log 2) at 40 digits, an independent
+    # closed form for the same integral
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        return TWIN_C_MID * (
+            mpmath.li(x, offset=True) - x / mpmath.log(x) + 2 / mpmath.log(2)
+        )
 
 
 class TestPredictPi2:
@@ -38,17 +40,19 @@ class TestPredictPi2:
         pred = predict_pi2(2e16)
         assert abs(pred - PI2_2E16) / PI2_2E16 < 1e-4
 
-    @pytest.mark.parametrize("x", [1e10, 2e16, 1e19, 1e80])
+    @pytest.mark.parametrize(
+        "x",
+        [2.01, 2.5, 3.0, 10.0, 100.0, 1e4, 2e16] + [10.0**k for k in range(7, 301)],
+    )
     def test_against_logarithmic_integral(self, x):
         pred = predict_pi2(x)
         ref = li_form(x)
-        assert abs(pred - ref) / ref < 1e-9
+        assert abs(pred - ref) / ref < 1e-13
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            predict_pi2(2.0)
-        with pytest.raises(ValueError):
-            predict_pi2(-1.0)
+        for x in (2.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                predict_pi2(x)
 
 
 class TestPredictBrunPartial:
