@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import decimal
-import hashlib
 import json
 import math
 import os
@@ -39,9 +38,9 @@ from .tables import (
     DEFAULT_BASE_ENCLOSURE,
     DEFAULT_BASE_THRESHOLD,
     CensusTableEntry,
+    _read_table_dir,
     emit_table,
     extend_partial_sum,
-    load_table_dir,
 )
 
 __all__ = ["main"]
@@ -71,15 +70,6 @@ def _interval_json(iv: Interval) -> dict:
         "lo_hex": iv.lo.hex(),
         "hi_hex": iv.hi.hex(),
     }
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _table_hashes(table_dir: str) -> dict:
-    # hash exactly the files the loader reads: sorted *.txt
-    return {f.name: _sha256(f) for f in sorted(Path(table_dir).glob("*.txt"))}
 
 
 def _emit(payload: dict, path: Optional[str]) -> None:
@@ -191,12 +181,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _cmd_extend(args: argparse.Namespace) -> int:
     if args.tables is None:
-        raise UsageError(
-            f"no table directory: pass --tables or set {TABLE_DIR_ENV}"
-        )
-    entries = load_table_dir(args.tables)
+        raise UsageError(f"no table directory: pass --tables or set {TABLE_DIR_ENV}")
+    rows, input_files = _read_table_dir(args.tables)
     base = _outward_from_decimals(args.base_lo, args.base_hi)
-    result = extend_partial_sum(args.base_x, base, entries)
+    result = extend_partial_sum(args.base_x, base, rows)
     print(f"extended to {result.limit}")
     print(f"pi2 = {result.pi2}")
     print(
@@ -212,7 +200,7 @@ def _cmd_extend(args: argparse.Namespace) -> int:
                     "base_x": args.base_x,
                     "base": {"lo": args.base_lo, "hi": args.base_hi},
                     "tables": str(args.tables),
-                    "input_files": _table_hashes(args.tables),
+                    "input_files": input_files,
                 },
                 "limit": result.limit,
                 "pi2": result.pi2,
@@ -271,15 +259,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if args.tables is not None and numeric:
         raise UsageError("pass either --tables or the --pi2/--brun-lo/--brun-hi triple")
     if args.tables is not None:
-        entries = load_table_dir(args.tables)
+        rows, input_files = _read_table_dir(args.tables)
         base = _outward_from_decimals(args.base_lo, args.base_hi)
-        spliced = extend_partial_sum(args.base_x, base, entries)
+        spliced = extend_partial_sum(args.base_x, base, rows)
         if spliced.limit != args.x0:
-            raise ValueError(
-                f"census tables end at {spliced.limit}, not at x0 = {args.x0}"
-            )
+            raise ValueError(f"census tables end at {spliced.limit}, not at x0 = {args.x0}")
         pi2_x0, partial = spliced.pi2, spliced.brun_partial
-        input_files = _table_hashes(args.tables)
     elif numeric:
         if args.pi2 is None or args.brun_lo is None or args.brun_hi is None:
             raise UsageError("--pi2, --brun-lo and --brun-hi must be given together")

@@ -1,4 +1,4 @@
-"""Segmented twin prime sieve with a certified running sum.
+"""Segmented twin prime sieve with a certified partial sum.
 
 One generator, ``_sieved_segments``, is the package's only segment loop.
 Its kernel is a segmented Eratosthenes on the wheel of 6: every prime
@@ -11,15 +11,14 @@ them or lists its twin lower members.  ``census``, ``twin_lower_members``
 and ``prime_count`` here, and both Euler products in ``euler_product``,
 map their per-segment work over it.
 
-What makes the census worth a module is its accumulation contract: the
-partial sum of 1/p + 1/(p+2) over twin pairs is carried as a pair of
-directed-rounding floats, added term by term in ascending prime order on
-the calling thread.  Because the chain never depends on where segment
-boundaries fall, the same limit produces bit-identical enclosure endpoints
-for every segment size.
+The census adds the partial sum of 1/p + 1/(p+2) over twin pairs as an
+exact integer at the fixed binary scale 2^61: each reciprocal becomes
+floor(2^61 / q) units.  Integer addition is exact, so the total is the
+same whatever the segment boundaries or the order of the segments, and
+the enclosure is rounded outward once, at the end.
 
 A twin pair (p, p+2) is counted at its lower member: pi2(x) counts pairs
-with p <= x, and the running sum includes both reciprocals of such pairs
+with p <= x, and the partial sum includes both reciprocals of such pairs
 even when p + 2 > x.  Every pair but (3, 5) is (6k - 1, 6k + 1).
 """
 
@@ -27,14 +26,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .interval import _NINF, _PINF, Interval, _vdn, _vup
+from .interval import Interval, _frac_bracket
 
 __all__ = ["TwinCensus", "census", "prime_count", "twin_lower_members"]
 
 DEFAULT_SEGMENT_SIZE = 1 << 22
+
+# the fixed-point unit of the census and table partial sums is 2^-61
+_SCALE = 1 << 61
 
 # primes the k-pattern removes; each is 6k -/+ 1 for k = 1 or 2
 _PRESIEVED = (5, 7, 11, 13)
@@ -176,44 +179,36 @@ def _sieved_segments(limit: int, segment_size: int, overhang: int = 0):
             yield sieve(lo, b)
 
 
-def _twin_terms(segment: _Segment):
-    """(count, lower-bound terms, upper-bound terms) of one segment's twin pairs."""
+def _twin_units(segment: _Segment):
+    """(count, sum of floor(2^61 / q) over both members q) of a segment's pairs.
+
+    The int64 sum cannot overflow: it is at most 2^61 times the segment's
+    partial sum, every partial sum is below Brun's constant B < 2.2886,
+    so a segment's units stay below 2^62.2."""
     p = segment.twin_lower()
-    pf = p.astype(np.float64)
-    inv_lo = _vdn(_vdn(1.0 / pf) + _vdn(1.0 / (pf + 2.0)))
-    inv_hi = _vup(_vup(1.0 / pf) + _vup(1.0 / (pf + 2.0)))
-    return len(p), inv_lo, inv_hi
+    return len(p), int((_SCALE // p + _SCALE // (p + 2)).sum())
 
 
-def census(
-    limit: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int = 1,
-) -> TwinCensus:
+def census(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE, threads: int = 1) -> TwinCensus:
     """Count twin pairs up to ``limit`` and enclose their reciprocal sum.
 
+    The sum is added in units of 2^-61, each 1/q as floor(2^61 / q).  A
+    floor loses less than one unit, so the exact sum lies in
+    [units, units + 2 pi2] * 2^-61; that bracket is rounded outward once.
     ``segment_size`` is a performance knob only: every choice yields the
-    same pi2 and bit-identical brun_partial endpoints.  Segments are
-    sieved and accumulated on this thread, strictly in ascending order,
-    one term at a time.  ``threads`` must be at least 1 and no longer
-    changes how the work runs.
+    same pi2 and bit-identical brun_partial endpoints.  ``threads`` must be
+    at least 1 and does not change how the work runs.
     """
     if limit < 0:
         raise ValueError(f"negative limit: {limit}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1: {threads}")
-    pi2 = 0
-    acc_lo = 0.0
-    acc_hi = 0.0
-    nextafter = math.nextafter
-    segments = _sieved_segments(limit, segment_size, overhang=2)
-    for count, inv_lo, inv_hi in map(_twin_terms, segments):
+    pi2 = units = 0
+    for count, u in map(_twin_units, _sieved_segments(limit, segment_size, overhang=2)):
         pi2 += count
-        for t in inv_lo.tolist():
-            acc_lo = nextafter(acc_lo + t, _NINF)
-        for t in inv_hi.tolist():
-            acc_hi = nextafter(acc_hi + t, _PINF)
-    return TwinCensus(limit=limit, pi2=pi2, brun_partial=Interval(acc_lo, acc_hi))
+        units += u
+    partial = _frac_bracket(Fraction(units, _SCALE), Fraction(units + 2 * pi2, _SCALE))
+    return TwinCensus(limit=limit, pi2=pi2, brun_partial=partial)
 
 
 def twin_lower_members(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:

@@ -12,18 +12,22 @@ Counts at two thresholds brace the partial sum growth between them: every
 pair (p, p+2) with t1 < p <= t2 contributes between 2/(t2+2) and 2/t1.
 Chaining that bracket along consecutive table rows extends a certified
 partial sum enclosure from a sieved base up to the table's end without
-sieving anything beyond the base.
+sieving anything beyond the base.  The chain is an exact integer sum at
+the census's binary scale 2^61 (each step's lower end rounded down to a
+unit, its upper end up), rounded outward once and added to the base.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .interval import Interval
-from .sieve import TwinCensus
+from .interval import Interval, _frac_bracket
+from .sieve import _SCALE, TwinCensus
 
 __all__ = [
     "CensusTableEntry",
@@ -44,7 +48,8 @@ DEFAULT_BASE_THRESHOLD = 10**12
 DEFAULT_BASE_ENCLOSURE = Interval(1.8065924, 1.8065925)
 
 _LINE = re.compile(
-    r"^(?P<k>\d+)d(?P<n>\d+)\s+(?P<pi2>\d+)(?:\s+(?P<pred>[0-9.eE+-]+))?\s*$"
+    r"^(?P<k>\d+)d(?P<n>\d+)\s+(?P<pi2>\d+)"
+    r"(?:\s+(?P<pred>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?))?\s*$"
 )
 
 
@@ -82,11 +87,14 @@ def parse_entry(line: str) -> CensusTableEntry:
 def parse_table(text: str) -> list:
     """Parse one table; blank lines and # comments are skipped."""
     entries = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        entries.append(parse_entry(line))
+        try:
+            entries.append(parse_entry(line))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
     return entries
 
 
@@ -96,39 +104,43 @@ def _merge(entries: Iterable[CensusTableEntry]) -> list:
         t = e.threshold
         prev = by_threshold.get(t)
         if prev is not None and prev.pi2 != e.pi2:
-            raise ValueError(
-                f"conflicting counts at {e.label}: {prev.pi2} vs {e.pi2}"
-            )
+            raise ValueError(f"conflicting counts at {e.label}: {prev.pi2} vs {e.pi2}")
         if prev is None or (prev.prediction is None and e.prediction is not None):
             by_threshold[t] = e
     merged = [by_threshold[t] for t in sorted(by_threshold)]
     for a, b in zip(merged, merged[1:]):
         if b.pi2 < a.pi2:
-            raise ValueError(
-                f"pair count decreases from {a.label} to {b.label}"
-            )
+            raise ValueError(f"pair count decreases from {a.label} to {b.label}")
     return merged
+
+
+def _read_table_dir(path) -> tuple:
+    """The unmerged rows of every *.txt table under ``path``, sorted by
+    file name, and each file's sha256, both from the same bytes."""
+    root = Path(path)
+    if not root.is_dir():
+        raise FileNotFoundError(f"census table directory not found: {root}")
+    entries, hashes = [], {}
+    for file in sorted(root.glob("*.txt")):
+        data = file.read_bytes()
+        hashes[file.name] = hashlib.sha256(data).hexdigest()
+        try:
+            entries.extend(parse_table(data.decode()))
+        except ValueError as exc:
+            raise ValueError(f"{file.name}, {exc}") from None
+    if not entries:
+        raise ValueError(f"no census table rows under {root}")
+    return entries, hashes
 
 
 def load_table_dir(path) -> list:
     """All *.txt tables under ``path``, merged, deduplicated, ascending."""
-    root = Path(path)
-    if not root.is_dir():
-        raise FileNotFoundError(f"census table directory not found: {root}")
-    entries = []
-    for file in sorted(root.glob("*.txt")):
-        entries.extend(parse_table(file.read_text()))
-    if not entries:
-        raise ValueError(f"no census table rows under {root}")
-    return _merge(entries)
+    return _merge(_read_table_dir(path)[0])
 
 
-def bracket_contribution(lower: CensusTableEntry, upper: CensusTableEntry) -> Interval:
-    """Enclosure of the partial sum mass between two table rows.
-
-    Each of the upper.pi2 - lower.pi2 pairs in (t1, t2] contributes
-    1/p + 1/(p+2), which is at least 2/(t2+2) and at most 2/t1.
-    """
+def _step_bracket(lower: CensusTableEntry, upper: CensusTableEntry) -> tuple:
+    """(2 delta, t2 + 2, t1) of two rows: each of the delta pairs in (t1, t2]
+    adds 1/p + 1/(p+2), which is at least 2/(t2+2) and at most 2/t1."""
     t1 = lower.threshold
     t2 = upper.threshold
     if t2 <= t1:
@@ -136,10 +148,13 @@ def bracket_contribution(lower: CensusTableEntry, upper: CensusTableEntry) -> In
     delta = upper.pi2 - lower.pi2
     if delta < 0:
         raise ValueError(f"pair count decreases between {lower.label} and {upper.label}")
-    two_delta = Interval.from_int(2 * delta)
-    lo = (two_delta / Interval.from_int(t2 + 2)).lo
-    hi = (two_delta / Interval.from_int(t1)).hi
-    return Interval(lo, hi)
+    return 2 * delta, t2 + 2, t1
+
+
+def bracket_contribution(lower: CensusTableEntry, upper: CensusTableEntry) -> Interval:
+    """Enclosure of the partial sum mass between two table rows."""
+    two_delta, below, above = _step_bracket(lower, upper)
+    return _frac_bracket(Fraction(two_delta, below), Fraction(two_delta, above))
 
 
 def extend_partial_sum(
@@ -151,17 +166,21 @@ def extend_partial_sum(
 
     ``entries`` must contain a row at exactly ``base_threshold`` (the
     chain needs its count to difference against).  Rows below the base
-    are ignored.  Returns the count and enclosure at the last row.
+    are ignored.  The steps are summed in 2^-61 units, floors below and
+    ceilings above, so the chain is exact up to one unit per step; it is
+    rounded outward once and added to ``base``.  Returns the count and
+    enclosure at the last row.
     """
     chain = [e for e in _merge(entries) if e.threshold >= base_threshold]
     if not chain or chain[0].threshold != base_threshold:
-        raise ValueError(
-            f"no table row at base threshold {base_threshold}"
-        )
-    total = base
+        raise ValueError(f"no table row at base threshold {base_threshold}")
+    lo = hi = 0
     for a, b in zip(chain, chain[1:]):
-        total = total + bracket_contribution(a, b)
+        two_delta, below, above = _step_bracket(a, b)
+        lo += two_delta * _SCALE // below
+        hi -= -two_delta * _SCALE // above  # adds the ceiling
     last = chain[-1]
+    total = base + _frac_bracket(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
     return TwinCensus(limit=last.threshold, pi2=last.pi2, brun_partial=total)
 
 

@@ -1,11 +1,13 @@
 """Command line behavior: wiring, artifacts, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from brun import tables
 from brun.cli import main
 
 FIXTURE_TABLE = "tests/fixtures/census_excerpt.txt"
@@ -106,7 +108,22 @@ class TestExtend:
         payload = json.loads(artifact.read_text())
         hashes = payload["inputs"]["input_files"]
         assert set(hashes) == {"excerpt.txt"}
-        assert len(hashes["excerpt.txt"]) == 64
+        data = (tmp_path / "excerpt.txt").read_bytes()
+        assert hashes["excerpt.txt"] == hashlib.sha256(data).hexdigest()
+
+    def test_bad_prediction_names_file_and_line(self, table_dir, capsys):
+        with open(f"{table_dir}/late.txt", "w") as f:
+            f.write("# more rows\n1002d12  1179421000000  1e\n")
+        rc = main([
+            "extend",
+            "--tables", table_dir,
+            "--base-x", "1000000000000000",
+            "--base-lo", "1.83",
+            "--base-hi", "1.84",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "late.txt, line 2: malformed census table line" in err
 
     def test_requires_tables(self, monkeypatch, capsys):
         monkeypatch.delenv("BRUN_TABLE_DIR", raising=False)
@@ -188,6 +205,35 @@ class TestCertify:
         ])
         assert rc == 2
         assert "not at x0" in capsys.readouterr().err
+
+    def test_table_route_merges_once(self, table_dir, tmp_path, monkeypatch):
+        calls = []
+        merge = tables._merge
+
+        def counting_merge(entries):
+            calls.append(1)
+            return merge(entries)
+
+        monkeypatch.setattr(tables, "_merge", counting_merge)
+        out = tmp_path / "cert.json"
+        rc = main([
+            "certify",
+            "--x0", "1001e12",
+            "--tables", table_dir,
+            "--base-x", "1000000000000000",
+            "--base-lo", "1.83",
+            "--base-hi", "1.84",
+            "--width-target", "1e-3",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        assert len(calls) == 1
+        payload = json.loads(out.read_text())
+        assert payload["inputs"]["pi2_x0"] == 1178316017996
+        data = (tmp_path / "excerpt.txt").read_bytes()
+        assert payload["inputs"]["input_files"] == {
+            "excerpt.txt": hashlib.sha256(data).hexdigest()
+        }
 
     def test_rejects_mixed_sources(self, table_dir):
         rc = main(CERTIFY_NUMERIC + ["--tables", table_dir])

@@ -85,11 +85,27 @@ class TestCertifiedSum:
         c = census(limit)
         assert Fraction(c.brun_partial.lo) <= exact <= Fraction(c.brun_partial.hi)
 
+    def test_brun_partial_contains_exact_sum_1e6(self):
+        limit = 10**6
+        # exact sum by binary splitting of unreduced (numerator, denominator)
+        terms = [(2 * p + 2, p * (p + 2)) for p in twins_by_trial_division(limit)]
+        while len(terms) > 1:
+            odd = terms[-1:] if len(terms) % 2 else []
+            pairs = zip(terms[::2], terms[1::2])
+            terms = [(a * d + b * c, b * d) for (a, b), (c, d) in pairs] + odd
+        exact = Fraction(*terms[0])
+        c = census(limit)
+        assert c.pi2 == 8169
+        assert Fraction(c.brun_partial.lo) <= exact <= Fraction(c.brun_partial.hi)
+
     def test_brun_partial_width_budget(self):
         c = census(10**6)
-        # three nudges per term per side, each at most one ulp of a value
-        # below 2/3 + 1/5 < 1
-        assert c.brun_partial.width <= c.pi2 * 8 * math.ulp(1.0)
+        # the integer sum is short of the exact one by less than one 2^-61
+        # unit per reciprocal, so the exact bracket is 2 pi2 units wide;
+        # rounding an end outward (to nearest, then one ulp out) moves it
+        # by less than 1.5 ulp
+        budget = 2 * c.pi2 * 2.0**-61 + 3 * math.ulp(c.brun_partial.hi)
+        assert c.brun_partial.width <= budget
 
     def test_empty_census(self):
         c = census(2)
@@ -143,18 +159,26 @@ class TestPartitionIndependence:
         assert prime_count(limit, segment_size) == expected
 
 
+def nested_in(c, outer: tuple) -> bool:
+    lo, hi = (float.fromhex(x) for x in outer)
+    return lo <= c.brun_partial.lo <= c.brun_partial.hi <= hi
+
+
 class TestPinnedOutputs:
-    """Values captured from the odd-number sieve the wheel kernel replaced."""
+    """Values of the integer census sum.  The census must also nest in the
+    enclosures of the term-by-term directed sum it replaced."""
 
     def test_census_1e8(self):
         c = census(10**8)
         assert c.pi2 == 440312
-        assert hex_ends(c) == ("0x1.c241bd93c2c39p+0", "0x1.c241bd9499c2ap+0")
+        assert hex_ends(c) == ("0x1.c241bd942e187p+0", "0x1.c241bd942e841p+0")
+        assert nested_in(c, ("0x1.c241bd93c2c39p+0", "0x1.c241bd9499c2ap+0"))
 
     def test_census_odd_segment_threads(self):
         c = census(10**7, segment_size=10007, threads=2)
         assert c.pi2 == 58980
-        assert hex_ends(c) == ("0x1.bd04f79c56eeep+0", "0x1.bd04f79c73bb7p+0")
+        assert hex_ends(c) == ("0x1.bd04f79c65536p+0", "0x1.bd04f79c6561fp+0")
+        assert nested_in(c, ("0x1.bd04f79c56eeep+0", "0x1.bd04f79c73bb7p+0"))
 
     def test_prime_count_1e8(self):
         assert prime_count(10**8) == 5761455

@@ -1,5 +1,6 @@
 """Census tables: parsing, the step bracket, and chained extension."""
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,9 +37,19 @@ class TestParsing:
         assert e.prediction is None
 
     def test_malformed_lines(self):
-        for bad in ["", "12 34", "ad3 5", "3d4 x", "3d4"]:
-            with pytest.raises(ValueError):
+        for bad in ["", "12 34", "ad3 5", "3d4 x", "3d4", "3d4 5 1e", "3d4 5 +-", "3d4 5 1.2.3"]:
+            with pytest.raises(ValueError, match="malformed census table line"):
                 parse_entry(bad)
+
+    def test_prediction_forms(self):
+        for text, value in [("1.5e3", 1500.0), ("-2", -2.0), (".5", 0.5), ("7.", 7.0)]:
+            assert parse_entry(f"3d4 5 {text}").prediction == value
+
+    def test_bad_line_names_file_and_line(self, tmp_path):
+        (tmp_path / "a.txt").write_text("1d6  8169\n")
+        (tmp_path / "b.txt").write_text("# head\n2d6  14871\n3d6 20000 1e\n")
+        with pytest.raises(ValueError, match=r"b\.txt, line 3: malformed census table line"):
+            load_table_dir(tmp_path)
 
     def test_parse_table_skips_comments(self):
         text = "# heading\n\n1d6  8169\n2d6  14871\n"
@@ -86,11 +97,46 @@ class TestBracket:
         assert iv.width < 1e-300
 
 
+def exact_chain(base: Interval, entries) -> tuple:
+    """The chained bracket in exact rationals: (lower, upper, steps)."""
+    lo, hi = Fraction(base.lo), Fraction(base.hi)
+    for a, b in zip(entries, entries[1:]):
+        two_delta = 2 * (b.pi2 - a.pi2)
+        lo += Fraction(two_delta, b.threshold + 2)
+        hi += Fraction(two_delta, a.threshold)
+    return lo, hi, len(entries) - 1
+
+
+def assert_near_exact_chain(extended, base, entries):
+    # one 2^-61 unit per step, the bracket and the base sum each rounded
+    # outward (at most 1.5 ulp per end each)
+    lo, hi, steps = exact_chain(base, entries)
+    iv = extended.brun_partial
+    assert Fraction(iv.lo) <= lo and hi <= Fraction(iv.hi)
+    slack = Fraction(steps, 2**61) + 3 * Fraction(math.ulp(iv.hi))
+    assert lo - Fraction(iv.lo) <= slack
+    assert Fraction(iv.hi) - hi <= slack
+
+
 class TestExtension:
     def make_entries(self, thresholds):
         return [
             CensusTableEntry(t // 10**6, 6, census(t).pi2) for t in thresholds
         ]
+
+    def test_fixture_chain_against_exact(self):
+        entries = load_table_dir(FIXTURES)
+        # a zero base keeps the ulps far below the 2^-61 units
+        for base in (Interval(1.83, 1.84), Interval(0.0, 0.0)):
+            extended = extend_partial_sum(10**15, base, entries)
+            assert extended.pi2 == 1178316017996
+            assert_near_exact_chain(extended, base, entries)
+
+    def test_sieved_chain_against_exact(self):
+        base = census(10**6).brun_partial
+        entries = self.make_entries([10**6, 2 * 10**6, 3 * 10**6, 4 * 10**6])
+        extended = extend_partial_sum(10**6, base, entries)
+        assert_near_exact_chain(extended, base, entries)
 
     def test_extension_contains_sieved_truth(self):
         base = census(10**6)
