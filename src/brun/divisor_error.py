@@ -19,9 +19,10 @@ limit at x -> 1- contributes g0^2 - 2 g1.  On [1, xmax] the scan is
 vectorized over unit intervals [n, n+1), where E decreases between the
 jumps at integers, so endpoint values dominate.
 
-Every float in the pipeline carries directed rounding: numpy nextafter
-nudges for single operations, an explicit forward-error pad for the long
-cumulative sum, and a relative pad for np.power.
+The prefix sums D(n) are exact int64 sums of the terms d(m)/m floored to
+units of 2^-52, rounded outward once on conversion to float.  Every
+other float in the pipeline carries directed rounding: numpy nextafter
+nudges for single operations and a relative pad for np.power.
 """
 
 from __future__ import annotations
@@ -51,11 +52,6 @@ __all__ = [
 GAMMA0 = Interval(0.5772156, 0.5772157)
 GAMMA1 = Interval(-0.0728159, -0.0728158)
 
-# forward-error coefficient for an n-term recursive float sum of
-# positive terms: |computed - true| <= (n + 2) * u * sum, u = 2^-53,
-# with one u * sum absorbing the per-term division rounding
-_U = 1.12e-16  # slightly above 2^-53 so the pad itself may round freely
-
 # covers np.power: exponent nearest-rounding contributes
 # ln(x) * u/2 relative, the evaluation another couple of ulps
 _POW_PAD = 2e-14
@@ -84,12 +80,21 @@ def _divisor_counts(xmax: int) -> np.ndarray:
 
 
 def _cumulative_sum_bounds(xmax: int):
-    """Directed bounds for D(n), n = 1..xmax."""
-    n = np.arange(1, xmax + 1, dtype=np.float64)
-    terms = _divisor_counts(xmax).astype(np.float64) / n
-    s = np.cumsum(terms)
-    pad = _vup((n + 2.0) * _U * s)
-    return _vdn(s - pad), _vup(s + pad)
+    """Directed bounds for D(n), n = 1..xmax.
+
+    Each term d(m)/m is floored to units of 2^-52 and the units add
+    exactly in int64, so D(n) lies in [units, units + n] * 2^-52.  A
+    term's d(m) * 2^52 fits in int64 while d(m) < 2^11; so does the sum,
+    as D(n) < 2^11 for n < e^60, far beyond any array in memory.
+    """
+    counts = _divisor_counts(xmax)
+    if counts.max() >= 1 << 11:
+        raise ValueError(f"divisor counts up to {xmax} overflow int64 units")
+    n = np.arange(1, xmax + 1, dtype=np.int64)
+    units = np.cumsum((counts << 52) // n)
+    lo = _vdn(np.ldexp(units.astype(np.float64), -52))
+    hi = _vup(np.ldexp((units + n).astype(np.float64), -52))
+    return lo, hi
 
 
 def _log_bounds(xmax: int):

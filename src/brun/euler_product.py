@@ -11,9 +11,11 @@ multiplier of the twin sieve, supported on cube-free numbers:
 
 for odd primes p, and g(p^k) = 0 for k >= 4.  H factors over primes, so
 log H = sum_p log(1 + |g(p)| p^alpha + |g(p^2)| p^(2 alpha) +
-|g(p^3)| p^(3 alpha)).  The sum over p <= cutoff is evaluated directly
-(vectorized, with a blanket relative pad over the float pipeline); the
-tail over p > cutoff is bounded through partial summation against an
+|g(p^3)| p^(3 alpha)).  The sum over p <= cutoff is evaluated directly:
+float64 terms per sieve segment, one exactly rounded fsum per segment,
+the segment sums added exactly as rationals, and the total padded by a
+blanket relative error bound and rounded outward once.  The tail over
+p > cutoff is bounded through partial summation against an
 explicit Chebyshev-type bound on the prime counting function, which
 turns it into a first term at the cutoff plus an exponential integral.
 
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .interval import Interval, _down, _up, _vdn, _vup, ei_neg, rational_pow
+from .interval import Interval, _frac_bracket, ei_neg, rational_pow
 from .sieve import _Segment, _sieved_segments
 
 __all__ = [
@@ -48,9 +50,11 @@ _PI_BOUND_FLOOR = 599
 
 _S1_SEGMENT = 1 << 24
 
-# blanket relative pad for the vectorized log-sum pipelines: the worst
-# element tallies about 36 units of 2^-53 (power evaluation with a
-# rounded rational exponent dominates), padded to 64
+# blanket relative error bound for one float64 log term against its
+# true value, relative to the computed term: the worst h term tallies
+# about 36 units of 2^-53 (power evaluation with a rounded rational
+# exponent dominates), padded to 64; a twin term takes a few units.
+# Tests hold both term kinds to half of it against 40-digit values.
 _VEC_PAD = 7.2e-15
 
 
@@ -130,32 +134,26 @@ def g_factor_log(p: int, s: Fraction) -> Interval:
     return total.log1p()
 
 
-def _padded_block_sum(y: np.ndarray) -> Interval:
-    """Interval for sum(y) given a per-element relative pad, one fsum."""
-    y_lo = _vdn(np.abs(y) * (1.0 - _VEC_PAD)) * np.sign(y)
-    y_hi = _vup(np.abs(y) * (1.0 + _VEC_PAD)) * np.sign(y)
-    lows = np.minimum(y_lo, y_hi)
-    highs = np.maximum(y_lo, y_hi)
-    lo = _down(math.fsum(lows.tolist()))
-    hi = _up(math.fsum(highs.tolist()))
-    return Interval(lo, hi)
+def _log_sum(cutoff: int, terms) -> tuple:
+    """(enclosure of the sum of ``terms`` over the odd primes <= cutoff, pi(cutoff)).
 
-
-def _fold_odd_primes(cutoff: int, total: Interval, block):
-    """(total + the blocks, pi(cutoff)), counted in the same sieve pass.
-
-    ``block`` maps one segment's odd primes, as float64, to the Interval
-    to add, or to None to add nothing; segments are folded in ascending
-    order, _S1_SEGMENT numbers each.
+    ``terms`` maps one segment's odd primes, as float64, to float64 terms
+    y, all of one sign, each within eps |y| of its true value, eps = _VEC_PAD.
     """
+    # T is the true sum, Y the sum of the float terms y, S the exact sum
+    # of the segment fsums s_b.  Each s_b is its segment's Y_b rounded
+    # once, so |s_b - Y_b| <= u |s_b| with u = 2^-53.  The terms of one
+    # product share a sign (h terms are log1p of a positive number, twin
+    # terms log1p(-1/(p-1)^2) < 0), so sum |y| = |Y| and sum |s_b| = |S|:
+    # |Y - S| <= u |S| and |T - Y| <= eps |Y| <= eps (1 + u) |S|.
     pi_cutoff = 1 if cutoff >= 2 else 0  # the prime 2
+    total = Fraction(0)
     for primes in map(_Segment.primes, _sieved_segments(cutoff, _S1_SEGMENT)):
-        pf = primes.astype(np.float64)
-        pi_cutoff += len(pf)
-        part = block(pf)
-        if part is not None:
-            total = total + part
-    return total, pi_cutoff
+        pi_cutoff += len(primes)
+        total += Fraction(math.fsum(memoryview(terms(primes.astype(np.float64)))))
+    u = Fraction(1, 1 << 53)
+    pad = (Fraction(_VEC_PAD) * (1 + u) + u) * abs(total)
+    return _frac_bracket(total - pad, total + pad), pi_cutoff
 
 
 def _h_local_log_terms(pf: np.ndarray, alpha: Fraction) -> np.ndarray:
@@ -172,6 +170,12 @@ def _h_local_log_terms(pf: np.ndarray, alpha: Fraction) -> np.ndarray:
         + 2.0 * np.power(pf, e4)
     )
     return np.log1p(num / (pf * pf * (pf - 2.0)))
+
+
+def _twin_local_log_terms(pf: np.ndarray) -> np.ndarray:
+    # log(1 - 1/(p-1)^2), negative for every p >= 3
+    q = pf - 1.0
+    return np.log1p(-1.0 / (q * q))
 
 
 def _chebyshev_k2(cutoff_iv: Interval) -> Interval:
@@ -226,19 +230,13 @@ def h_bound(cutoff: int, alpha: Fraction) -> HBoundReport:
 
     beta = 2 - 2 * alpha  # tail factors decay like t^(-beta)
 
-    # s1 is the local log sum over p <= cutoff, p = 2 included.  A segment
-    # without primes adds [0, 0], which still nudges s1 outward;
-    # twin_constant skips such segments, and the pinned bits of both
-    # products depend on that difference.
-    def block(pf):
-        if len(pf) == 0:
-            return Interval(0.0, 0.0)
-        return _padded_block_sum(_h_local_log_terms(pf, alpha))
-
-    s1, pi_cutoff = _fold_odd_primes(cutoff, g_factor_log(2, -alpha), block)
+    # s1 is the local log sum over p <= cutoff, p = 2 included
+    odd, pi_cutoff = _log_sum(cutoff, lambda pf: _h_local_log_terms(pf, alpha))
+    s1 = odd + g_factor_log(2, -alpha)
 
     t0 = Interval.from_int(cutoff)
-    k1 = _tail_envelope_coefficient(t0, alpha) * 1.000001
+    # one constant K >= r(p) for every prime p > cutoff, since r decreases
+    k1 = Interval.point(_tail_envelope_coefficient(t0, alpha).hi)
     _check_tail_domination(cutoff, alpha, k1)
     k2 = _chebyshev_k2(t0)
 
@@ -289,14 +287,7 @@ def twin_constant(cutoff: int) -> Interval:
     """
     if cutoff < 3:
         raise ValueError(f"cutoff must be >= 3: {cutoff}")
-
-    def block(pf):
-        if len(pf) == 0:
-            return None
-        q = pf - 1.0
-        return _padded_block_sum(np.log1p(-1.0 / (q * q)))
-
-    log_sum, pi_cutoff = _fold_odd_primes(cutoff, Interval(0.0, 0.0), block)
+    log_sum, pi_cutoff = _log_sum(cutoff, _twin_local_log_terms)
     partial = 2 * log_sum.exp()
 
     t0 = Interval.from_int(cutoff)

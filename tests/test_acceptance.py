@@ -16,7 +16,8 @@ say why in their docstrings:
   with both restored.
 
 Long-running optional checks are gated behind environment variables:
-``BRUN_ACCEPT_LONG=1`` enables the 10^10 product-bound run (hours), and
+``BRUN_ACCEPT_LONG=1`` enables the 10^10 product-bound run (about one
+minute on 2 vCPUs), and
 ``BRUN_FULL_TABLES=<dir>`` enables the full census-table extension.
 """
 
@@ -176,7 +177,7 @@ def test_03_product_bound():
 
 @pytest.mark.skipif(
     not os.environ.get("BRUN_ACCEPT_LONG"),
-    reason="hours-long 1e10 product bound; set BRUN_ACCEPT_LONG=1 to run",
+    reason="1e10 product bound, about 1 min; set BRUN_ACCEPT_LONG=1 to run",
 )
 def test_03_product_bound_extended():
     """Full 1e10 product bound reproduces the published checkpoint values."""

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brun import divisor_error
 from brun.divisor_error import (
     _POW_PAD,
     GAMMA0,
@@ -41,6 +42,14 @@ def hex_ends(iv: Interval) -> tuple:
     return iv.lo.hex(), iv.hi.hex()
 
 
+def assert_pinned(iv: Interval, pin: tuple, before: tuple) -> None:
+    """``iv`` has the hex ends ``pin``, which nest in the earlier pin."""
+    assert hex_ends(iv) == pin
+    lo, hi = map(float.fromhex, pin)
+    old_lo, old_hi = map(float.fromhex, before)
+    assert old_lo <= lo and hi <= old_hi
+
+
 class TestGammaWindows:
     def test_contain_true_constants(self):
         mpmath = pytest.importorskip("mpmath")
@@ -69,7 +78,17 @@ class TestDivisorSum:
         iv = divisor_sum(1000)
         exact = exact_divisor_sum(1000)
         assert Fraction(iv.lo) <= exact <= Fraction(iv.hi)
-        assert iv.width < 1e-10
+        # 1000 floored terms lose under 2^-52 each; one ulp per end
+        assert iv.width <= 1000 * 2**-52 + 2 * math.ulp(iv.hi)
+
+    def test_units_overflow_guard(self, monkeypatch):
+        # d(m) 2^52 no longer fits in int64 from d(m) = 2^11 on
+        def counts(xmax):
+            return np.full(xmax, 1 << 11, dtype=np.int64)
+
+        monkeypatch.setattr(divisor_error, "_divisor_counts", counts)
+        with pytest.raises(ValueError, match="overflow"):
+            divisor_sum(10)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -137,11 +156,17 @@ class TestScan:
         assert scan.bound.hi == scan.head.hi
 
     def test_exact_bits(self):
-        # captured before the divisor counts were built from divisor pairs
+        # bound, head and argmax were captured before the divisor counts
+        # were built from divisor pairs; the scanned part nests in its pin
+        # from before the prefix sums added exact integers
         scan = scan_c(Fraction(2, 5), 10**5)
         assert hex_ends(scan.bound) == ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0")
         assert hex_ends(scan.head) == ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0")
-        assert hex_ends(scan.scanned) == ("0x1.5ae021eb6d752p-1", "0x1.7dfef9da61bedp-1")
+        assert_pinned(
+            scan.scanned,
+            ("0x1.5ae021eb6d793p-1", "0x1.7dfef9da61be7p-1"),
+            ("0x1.5ae021eb6d752p-1", "0x1.7dfef9da61bedp-1"),
+        )
         assert scan.argmax.hex() == "0x1.029084d1dafccp-9"
 
     def test_deterministic(self):

@@ -14,21 +14,23 @@ from brun import euler_product
 from brun.euler_product import (
     _VEC_PAD,
     GFactor,
-    _fold_odd_primes,
     _h_local_log_terms,
+    _log_sum,
+    _twin_local_log_terms,
     g_factor_log,
     g_value,
     h_bound,
     twin_constant,
 )
 from brun.interval import Interval
+from brun.rv_bound import DEFAULT_H_LOG
 
 # frozen 30-digit references, computed independently
 GFL_3 = Decimal("1.92322629793825809250042793358")
 GFL_2 = Decimal("1.05785106398282508102243570912")
 S1_1E5 = Decimal("6.758778614165955429185491")
-FIRST_1E6 = Decimal("-0.014940079635704382569")
-INTEGRAL_1E6 = Decimal("0.069896794948053013094")
+FIRST_1E6 = Decimal("-0.014940064695641108657")
+INTEGRAL_1E6 = Decimal("0.069896725051327961766")
 # the twin prime constant to 21 digits
 TWIN_C = Decimal("1.32032363169373914786")
 
@@ -39,6 +41,14 @@ def contains(iv: Interval, d: Decimal) -> bool:
 
 def hex_ends(iv: Interval) -> tuple:
     return iv.lo.hex(), iv.hi.hex()
+
+
+def assert_pinned(iv: Interval, pin: tuple, before: tuple) -> None:
+    """``iv`` has the hex ends ``pin``, which nest in the earlier pin."""
+    assert hex_ends(iv) == pin
+    lo, hi = map(float.fromhex, pin)
+    old_lo, old_hi = map(float.fromhex, before)
+    assert old_lo <= lo and hi <= old_hi
 
 
 def is_prime(n: int) -> bool:
@@ -92,17 +102,17 @@ class TestLocalFactorLog:
 
 
 class TestPrimeBlocks:
-    """The per-segment prime blocks both products fold."""
+    """The per-segment prime blocks both products sum."""
 
     @staticmethod
     def fold(cutoff):
         blocks = []
 
-        def block(pf):
+        def terms(pf):
             blocks.append([int(p) for p in pf])
-            return None
+            return np.zeros_like(pf)
 
-        total, pi_cutoff = _fold_odd_primes(cutoff, Interval(0.0, 0.0), block)
+        total, pi_cutoff = _log_sum(cutoff, terms)
         assert total == Interval(0.0, 0.0)
         return blocks, pi_cutoff
 
@@ -127,27 +137,60 @@ class TestPrimeBlocks:
 
 
 class TestVectorPad:
-    """``_VEC_PAD`` against 40-digit values of the local log terms."""
+    """``_VEC_PAD`` against 40-digit values of both kinds of local log terms."""
+
+    @staticmethod
+    def worst_relative_error(terms, exact) -> float:
+        rng = np.random.default_rng(2018)
+        x = np.exp(rng.uniform(math.log(3.5), math.log(1e10), 3000))
+        got = terms(x)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for xi, yi in zip(x.tolist(), got.tolist()):
+                want = exact(mpmath.mpf(xi))
+                worst = max(worst, float(abs((yi - want) / want)))
+        return worst
 
     @pytest.mark.parametrize("alpha", [Fraction(2, 5), Fraction(1, 3)])
     def test_local_log_terms(self, alpha):
-        rng = np.random.default_rng(2018)
-        x = np.exp(rng.uniform(math.log(3.5), math.log(1e10), 3000))
-        got = _h_local_log_terms(x, alpha)
-        worst = 0.0
-        with mpmath.workdps(40):
+        def exact(p):
             a = mpmath.mpf(alpha.numerator) / alpha.denominator
-            for xi, yi in zip(x.tolist(), got.tolist()):
-                p = mpmath.mpf(xi)
-                num = (
-                    4 * p ** (1 + a)
-                    + 3 * p ** (1 + 2 * a)
-                    + 2 * p ** (2 * a)
-                    + 2 * p ** (3 * a)
-                )
-                exact = mpmath.log1p(num / (p * p * (p - 2)))
-                worst = max(worst, float(abs((yi - exact) / exact)))
+            num = (
+                4 * p ** (1 + a)
+                + 3 * p ** (1 + 2 * a)
+                + 2 * p ** (2 * a)
+                + 2 * p ** (3 * a)
+            )
+            return mpmath.log1p(num / (p * p * (p - 2)))
+
+        worst = self.worst_relative_error(lambda x: _h_local_log_terms(x, alpha), exact)
         assert worst <= _VEC_PAD / 2, worst / _VEC_PAD
+
+    def test_twin_local_log_terms(self):
+        def exact(p):
+            return mpmath.log1p(-1 / ((p - 1) * (p - 1)))
+
+        worst = self.worst_relative_error(_twin_local_log_terms, exact)
+        assert worst <= _VEC_PAD / 2, worst / _VEC_PAD
+
+
+class TestLogSum:
+    """The exact sum of segment fsums against a 40-digit oracle."""
+
+    @pytest.mark.parametrize("segment", [7, 30, 4096])
+    def test_twin_partial_sum_contains_oracle(self, monkeypatch, segment):
+        monkeypatch.setattr(euler_product, "_S1_SEGMENT", segment)
+        total, pi_cutoff = _log_sum(10**4, _twin_local_log_terms)
+        assert pi_cutoff == 1229
+        with mpmath.workdps(40):
+            exact = mpmath.fsum(
+                mpmath.log1p(-mpmath.mpf(1) / ((p - 1) * (p - 1)))
+                for p in range(3, 10**4 + 1)
+                if is_prime(p)
+            )
+            assert mpmath.mpf(total.lo) <= exact <= mpmath.mpf(total.hi)
+        # the pad budget 2 (eps (1 + u) + u) |S|, plus outward rounding
+        assert total.width <= 2 * (_VEC_PAD + 2**-52) * -total.lo + 2 * math.ulp(total.lo)
 
 
 class TestHBound:
@@ -170,8 +213,11 @@ class TestHBound:
         h6 = h_bound(10**6, Fraction(2, 5)).h.hi
         h7 = h_bound(10**7, Fraction(2, 5)).h.hi
         assert h7 <= h6
-        assert h6 == pytest.approx(951.677494, abs=1e-5)
-        assert h7 == pytest.approx(950.719339, abs=1e-5)
+        # k1 = r(cutoff) with no extra factor; at most the earlier
+        # 951.677494 and 950.719339
+        assert h6 == pytest.approx(951.677442, abs=1e-5)
+        assert h7 == pytest.approx(950.719310, abs=1e-5)
+        assert h6 <= 951.677494 and h7 <= 950.719339
 
     def test_lower_end_is_partial_product(self):
         report = h_bound(10**5, Fraction(2, 5))
@@ -181,20 +227,36 @@ class TestHBound:
     def test_enclosures_nest_as_cutoff_grows(self):
         # more primes move mass from the tail estimate into the certified
         # partial sum, so the upper end can only improve
-        a = h_bound(10**5, Fraction(2, 5))
-        b = h_bound(10**6, Fraction(2, 5))
-        assert b.h.hi <= a.h.hi
-        assert b.h.lo >= a.h.lo
+        reports = [h_bound(10**k, Fraction(2, 5)) for k in (5, 6, 7, 8)]
+        for a, b in zip(reports, reports[1:]):
+            assert b.h.hi <= a.h.hi, b.cutoff
+            assert b.h.lo >= a.h.lo, b.cutoff
+        for a in reports:
+            assert a.log_bound.intersects(DEFAULT_H_LOG), a.cutoff
+            for b in reports:
+                assert a.log_bound.intersects(b.log_bound), (a.cutoff, b.cutoff)
 
     def test_exact_bits(self):
-        # pins the fold order of the partial log sum, not only its value
+        # pins the exactly added segment sums, not only their value; each
+        # pin nests in the one the per-term padded fold gave
         report = h_bound(10**6, Fraction(2, 5))
         assert report.pi_cutoff == 78498
-        assert hex_ends(report.partial_log_sum) == ("0x1.b368c4754023cp+2", "0x1.b368c475402a2p+2")
-        assert hex_ends(report.h) == ("0x1.c264d02fed2abp+9", "0x1.dbd6b82147869p+9")
-        # a short last segment without primes still adds [0, 0] here
-        s1 = h_bound(2**24 + 20, Fraction(2, 5)).partial_log_sum
-        assert hex_ends(s1) == ("0x1.b526634da1a8ep+2", "0x1.b526634da1af6p+2")
+        assert_pinned(
+            report.partial_log_sum,
+            ("0x1.b368c4754023dp+2", "0x1.b368c475402a2p+2"),
+            ("0x1.b368c4754023cp+2", "0x1.b368c475402a2p+2"),
+        )
+        assert_pinned(
+            report.h,
+            ("0x1.c264d02fed2b2p+9", "0x1.dbd6b66a8bf2cp+9"),
+            ("0x1.c264d02fed2abp+9", "0x1.dbd6b82147869p+9"),
+        )
+        # the last segment holds no primes
+        assert_pinned(
+            h_bound(2**24 + 20, Fraction(2, 5)).partial_log_sum,
+            ("0x1.b526634da1a8fp+2", "0x1.b526634da1af6p+2"),
+            ("0x1.b526634da1a8ep+2", "0x1.b526634da1af6p+2"),
+        )
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -213,10 +275,18 @@ class TestTwinConstant:
         assert iv.hi <= 1.320324
 
     def test_exact_bits(self):
-        # 2**24 + 20 ends in a short segment without primes, which the
-        # fold skips
-        assert hex_ends(twin_constant(10**6)) == ("0x1.5200ba7efc024p+0", "0x1.5200bc42998aep+0")
-        assert hex_ends(twin_constant(2**24 + 20)) == ("0x1.5200babf718f2p+0", "0x1.5200bad57b603p+0")
+        # each pin nests in the one the per-term padded fold gave;
+        # 2**24 + 20 ends in a short segment without primes
+        assert_pinned(
+            twin_constant(10**6),
+            ("0x1.5200ba7efc024p+0", "0x1.5200bc42998aep+0"),
+            ("0x1.5200ba7efc024p+0", "0x1.5200bc42998aep+0"),
+        )
+        assert_pinned(
+            twin_constant(2**24 + 20),
+            ("0x1.5200babf718f3p+0", "0x1.5200bad57b602p+0"),
+            ("0x1.5200babf718f2p+0", "0x1.5200bad57b603p+0"),
+        )
 
     def test_small_cutoff_coarse_tail(self):
         iv = twin_constant(3)
@@ -230,9 +300,12 @@ class TestTwinConstant:
             assert contains(iv, TWIN_C), cutoff
 
     def test_enclosures_nest_as_cutoff_grows(self):
-        a = twin_constant(10**4)
-        b = twin_constant(10**5)
-        assert b.issubset(a)
+        enclosures = [twin_constant(10**k) for k in (4, 5, 6, 7, 8)]
+        for a, b in zip(enclosures, enclosures[1:]):
+            assert b.issubset(a)
+        for a in enclosures:
+            for b in enclosures:
+                assert a.intersects(b)
 
     def test_domain(self):
         with pytest.raises(ValueError):
