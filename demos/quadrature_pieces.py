@@ -18,13 +18,15 @@ from brun.rv_bound import correction_piece, derive_params, integrate_adaptive
 
 def main():
     params = derive_params()
-    piece = correction_piece(params)
     u0 = math.log(4e18)
 
     print(f"{'target':>8}  {'pieces':>7}  {'achieved width':>14}  {'secs':>6}")
     for target in (1e-3, 1e-4, 1e-5, 2e-6, 1e-6):
         started = time.monotonic()
-        result = integrate_adaptive(piece, u0, 20000.0, width_target=target)
+        # a fresh rule per target: one rule remembers every F it evaluated
+        result = integrate_adaptive(
+            correction_piece(params), u0, 20000.0, width_target=target
+        )
         elapsed = time.monotonic() - started
         print(
             f"{target:>8.0e}  {result.pieces:>7}  "
@@ -33,6 +35,7 @@ def main():
 
     print()
     print("single-piece widths over [43, 43+h], h halving:")
+    piece = correction_piece(params)
     h = 2.0
     while h > 0.12:
         iv = piece(43.0, 43.0 + h)

@@ -349,12 +349,25 @@ def correction_piece(params: RVParams) -> PieceFn:
     the true piece integral far tighter than a zeroth-order rule.  The
     16 C scale sits inside the rule so the driver's width target applies
     to the integral exactly as it enters the certificate.
+
+    Each node's F is evaluated once: a bisection reuses the ends its
+    parent piece already evaluated, so a run of n pieces makes n + 1
+    calls of ``correction_term_log``.  The memo lives as long as the
+    returned rule, keyed by the exact double u.
     """
     if not (params.a7.hi <= 0.0 <= min(params.a8.lo, params.a9.lo)):
         raise ValueError(
             "frozen-correction quadrature needs a7 <= 0 and a8, a9 >= 0"
         )
     scale = 16 * params.twin_c
+    f_at = {}
+
+    def correction(u: float) -> tuple:
+        f = f_at.get(u)
+        if f is None:
+            iv = correction_term_log(Interval.point(u), params)
+            f = f_at[u] = (iv.lo, iv.hi)
+        return f
 
     def closed_form(a: Interval, b: Interval, phi: float) -> Interval:
         if phi == 0.0:
@@ -365,8 +378,8 @@ def correction_piece(params: RVParams) -> PieceFn:
     def piece(a: float, b: float) -> Interval:
         ia = Interval.point(a)
         ib = Interval.point(b)
-        f_lo = correction_term_log(ia, params).lo
-        f_hi = correction_term_log(ib, params).hi
+        f_lo = correction(a)[0]
+        f_hi = correction(b)[1]
         return scale * Interval(
             closed_form(ia, ib, f_hi).lo,
             closed_form(ia, ib, f_lo).hi,

@@ -12,7 +12,9 @@ Counts at two thresholds brace the partial sum growth between them: every
 pair (p, p+2) with t1 < p <= t2 contributes between 2/(t2+2) and 2/t1.
 Chaining that bracket along consecutive table rows extends a certified
 partial sum enclosure from a sieved base up to the table's end without
-sieving anything beyond the base.  The chain is an exact integer sum at
+sieving anything beyond the base.  One pass merges the rows, keying each
+by its threshold (computed once) and checking that counts never fall; one
+pass chains the merged thresholds and counts as an exact integer sum at
 the census's binary scale 2^61 (each step's lower end rounded down to a
 unit, its upper end up), rounded outward once and added to the base.
 """
@@ -21,10 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .interval import Interval, _frac_bracket
 from .sieve import _SCALE, TwinCensus
@@ -53,8 +55,7 @@ _LINE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class CensusTableEntry:
+class CensusTableEntry(NamedTuple):
     """One table row: pair count at threshold mantissa * 10**exponent."""
 
     mantissa: int
@@ -75,13 +76,8 @@ def parse_entry(line: str) -> CensusTableEntry:
     m = _LINE.match(line.strip())
     if m is None:
         raise ValueError(f"malformed census table line: {line!r}")
-    pred = m.group("pred")
-    return CensusTableEntry(
-        mantissa=int(m.group("k")),
-        exponent=int(m.group("n")),
-        pi2=int(m.group("pi2")),
-        prediction=None if pred is None else float(pred),
-    )
+    k, n, pi2, pred = m.groups()
+    return CensusTableEntry(int(k), int(n), int(pi2), None if pred is None else float(pred))
 
 
 def parse_table(text: str) -> list:
@@ -98,7 +94,8 @@ def parse_table(text: str) -> list:
     return entries
 
 
-def _merge(entries: Iterable[CensusTableEntry]) -> list:
+def _merge(entries: Iterable[CensusTableEntry]) -> tuple:
+    """(ascending thresholds, the row at each), each threshold keyed once."""
     by_threshold = {}
     for e in entries:
         t = e.threshold
@@ -107,11 +104,12 @@ def _merge(entries: Iterable[CensusTableEntry]) -> list:
             raise ValueError(f"conflicting counts at {e.label}: {prev.pi2} vs {e.pi2}")
         if prev is None or (prev.prediction is None and e.prediction is not None):
             by_threshold[t] = e
-    merged = [by_threshold[t] for t in sorted(by_threshold)]
-    for a, b in zip(merged, merged[1:]):
+    thresholds = sorted(by_threshold)
+    rows = [by_threshold[t] for t in thresholds]
+    for a, b in zip(rows, rows[1:]):
         if b.pi2 < a.pi2:
             raise ValueError(f"pair count decreases from {a.label} to {b.label}")
-    return merged
+    return thresholds, rows
 
 
 def _read_table_dir(path) -> tuple:
@@ -135,7 +133,7 @@ def _read_table_dir(path) -> tuple:
 
 def load_table_dir(path) -> list:
     """All *.txt tables under ``path``, merged, deduplicated, ascending."""
-    return _merge(_read_table_dir(path)[0])
+    return _merge(_read_table_dir(path)[0])[1]
 
 
 def _step_bracket(lower: CensusTableEntry, upper: CensusTableEntry) -> tuple:
@@ -171,17 +169,19 @@ def extend_partial_sum(
     rounded outward once and added to ``base``.  Returns the count and
     enclosure at the last row.
     """
-    chain = [e for e in _merge(entries) if e.threshold >= base_threshold]
-    if not chain or chain[0].threshold != base_threshold:
+    thresholds, rows = _merge(entries)  # thresholds rise, counts never fall
+    start = bisect_left(thresholds, base_threshold)
+    if thresholds[start:start + 1] != [base_threshold]:
         raise ValueError(f"no table row at base threshold {base_threshold}")
+    ts = thresholds[start:]
+    counts = [row.pi2 for row in rows[start:]]
     lo = hi = 0
-    for a, b in zip(chain, chain[1:]):
-        two_delta, below, above = _step_bracket(a, b)
-        lo += two_delta * _SCALE // below
-        hi -= -two_delta * _SCALE // above  # adds the ceiling
-    last = chain[-1]
+    for t1, t2, c1, c2 in zip(ts, ts[1:], counts, counts[1:]):
+        two_delta = 2 * (c2 - c1)
+        lo += two_delta * _SCALE // (t2 + 2)
+        hi -= -two_delta * _SCALE // t1  # adds the ceiling
     total = base + _frac_bracket(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
-    return TwinCensus(limit=last.threshold, pi2=last.pi2, brun_partial=total)
+    return TwinCensus(limit=ts[-1], pi2=counts[-1], brun_partial=total)
 
 
 def emit_table(entries: Sequence[CensusTableEntry]) -> str:

@@ -19,6 +19,16 @@ CERTIFY_NUMERIC = [
     "--brun-hi", "1.840518",
 ]
 
+CERTIFY_TABLES = [
+    "certify",
+    "--x0", "1001e12",
+    "--tables", "tests/fixtures",
+    "--base-x", "1e15",
+    "--base-lo", "1.83",
+    "--base-hi", "1.84",
+    "--width-target", "1e-3",
+]
+
 
 @pytest.fixture(autouse=True)
 def _isolated_env(monkeypatch):
@@ -193,6 +203,16 @@ class TestCertify:
         assert main(CERTIFY_NUMERIC + ["--out", str(a)]) == 0
         assert main(CERTIFY_NUMERIC + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_table_route_byte_identical(self, tmp_path):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        for out in (a, b):
+            assert main(CERTIFY_TABLES + ["--out", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        result = json.loads(a.read_text())["result"]
+        assert result["lower_hex"] == "0x1.d47b0661502bcp+0"
+        assert result["upper_hex"] == "0x1.314a1143324bap+1"
 
     def test_table_route_must_reach_x0(self, table_dir, capsys):
         rc = main([

@@ -6,8 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from brun import rv_bound
+from brun.divisor_error import scan_c
+from brun.euler_product import twin_constant
 from brun.interval import Interval
 from brun.rv_bound import (
+    DEFAULT_SCAN_BOUND,
+    DEFAULT_TWIN_C,
     QuadratureError,
     brun_upper,
     convex_piece,
@@ -102,6 +107,11 @@ class TestDeriveParams:
         wide = derive_params(h=Interval(940.0, 960.0))
         narrow = derive_params(h=Interval(950.0, 950.1))
         assert narrow.a8.issubset(wide.a8)
+
+    def test_literals_agree_with_computed_constants(self):
+        # the default windows must hold what the package itself certifies
+        assert twin_constant(10**7).issubset(DEFAULT_TWIN_C)
+        assert scan_c(Fraction(2, 5), 10**6).bound.issubset(DEFAULT_SCAN_BOUND)
 
     def test_idealized(self):
         p = idealized_params()
@@ -266,6 +276,50 @@ class TestBrunUpper:
         pt = Fraction(2 * PI2_X0, X0)
         assert Fraction(cert.pair_term.lo) <= pt <= Fraction(cert.pair_term.hi)
         assert cert.enclosure == Interval(cert.lower, cert.upper)
+
+    @pytest.mark.parametrize(
+        "make_params, upper, integral, pieces",
+        [
+            (
+                derive_params,
+                "0x1.24edfc76b7a86p+1",
+                ("0x1.cb36466a6140bp-2", "0x1.cb368985cfdfep-2"),
+                4690,
+            ),
+            (
+                lambda: derive_params(improved=True, x0=float(X0)),
+                "0x1.24edfc6e91eb3p+1",
+                ("0x1.cb36466a6132bp-2", "0x1.cb368985cfb52p-2"),
+                4690,
+            ),
+            (
+                idealized_params,
+                "0x1.2489b09e51dbep+1",
+                ("0x1.c8141464017f2p-2", "0x1.c8142b0759ab5p-2"),
+                1,
+            ),
+        ],
+        ids=["default", "improved", "idealized"],
+    )
+    def test_exact_bits(self, make_params, upper, integral, pieces):
+        # pins the certificate's bits, not only its 1e-6 window
+        cert = brun_upper(X0, PI2_X0, PARTIAL_X0, params=make_params())
+        assert cert.upper.hex() == upper
+        assert (cert.integral.lo.hex(), cert.integral.hi.hex()) == integral
+        assert cert.quad_pieces == pieces
+
+    def test_correction_evaluated_once_per_node(self, monkeypatch):
+        # a bisection reuses its parent's end values: n pieces, n + 1 nodes
+        calls = []
+        inner = rv_bound.correction_term_log
+
+        def counting(u, params):
+            calls.append(u)
+            return inner(u, params)
+
+        monkeypatch.setattr(rv_bound, "correction_term_log", counting)
+        cert = brun_upper(X0, PI2_X0, PARTIAL_X0)
+        assert len(calls) <= cert.quad_pieces + 1
 
     def test_idealized_reference(self):
         cert = brun_upper(X0, PI2_X0, PARTIAL_X0, params=idealized_params())
