@@ -3,13 +3,16 @@
 #
 # For a tuning exponent alpha the quantity scanned is
 #
-#     |sum over d <= y of mu^2(d) 3^omega(d) / d - main term| / y^alpha
+#     |E(x)| x^alpha,   E(x) = sum over n <= x of d(n)/n - A(x),
 #
-# evaluated with exact rational arithmetic at every integer y up to the
-# scan limit, plus a certified bound for the continuous argument between
-# integers.  The certified maximum is what enters the bound constants;
-# the argmax says where the worst case lives (very small y, as the
-# envelope decays like y^(1-alpha) afterwards).
+# with d the divisor count and A the smooth log-square model of the sum.
+# Each prefix sum is an exact int64 sum of the terms floored to units of
+# 2^-52; everything after it is float arithmetic with directed rounding.
+# On [1, xmax] the scan bounds every unit interval [n, n+1) from its
+# endpoint values; on (0, 1) the supremum is found analytically.  The
+# certified maximum is what enters the bound constants; the argmax says
+# where the worst case lives: below 1 for alpha 1/3 and 2/5, where the
+# empty sum leaves E(x) = -A(x), and at x = 12 for alpha 9/20.
 
 from fractions import Fraction
 

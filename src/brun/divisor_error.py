@@ -17,12 +17,14 @@ On (0, 1) the supremum is resolved analytically: critical points of
 |E| x^alpha are roots of a quadratic in u = log x, and the boundary
 limit at x -> 1- contributes g0^2 - 2 g1.  On [1, xmax] the scan is
 vectorized over unit intervals [n, n+1), where E decreases between the
-jumps at integers, so endpoint values dominate.
+jumps at integers, so endpoint values dominate; it walks n in blocks
+small enough for their temporaries to stay in cache.
 
 The prefix sums D(n) are exact int64 sums of the terms d(m)/m floored to
 units of 2^-52, rounded outward once on conversion to float.  Every
-other float in the pipeline carries directed rounding: numpy nextafter
-nudges for single operations and a relative pad for np.power.
+other float in the pipeline carries directed rounding: one-ulp steps on
+the float64 bit pattern (``interval._vdn``/``_vup``, equal to
+np.nextafter) for single operations and a relative pad for np.power.
 """
 
 from __future__ import annotations
@@ -51,10 +53,14 @@ __all__ = [
 #: results are insensitive to the extra width.
 GAMMA0 = Interval(0.5772156, 0.5772157)
 GAMMA1 = Interval(-0.0728159, -0.0728158)
+_C0 = GAMMA0 * GAMMA0 - 2 * GAMMA1  # A(1), positive
 
 # covers np.power: exponent nearest-rounding contributes
 # ln(x) * u/2 relative, the evaluation another couple of ulps
 _POW_PAD = 2e-14
+
+# n per scan block: the block's few dozen float64 temporaries stay in L2
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -79,46 +85,61 @@ def _divisor_counts(xmax: int) -> np.ndarray:
     return counts
 
 
-def _cumulative_sum_bounds(xmax: int):
-    """Directed bounds for D(n), n = 1..xmax.
+def _checked_counts(xmax: int) -> np.ndarray:
+    """d(n) for n = 1..xmax, whose terms and sums fit int64 units of 2^-52.
 
-    Each term d(m)/m is floored to units of 2^-52 and the units add
-    exactly in int64, so D(n) lies in [units, units + n] * 2^-52.  A
-    term's d(m) * 2^52 fits in int64 while d(m) < 2^11; so does the sum,
-    as D(n) < 2^11 for n < e^60, far beyond any array in memory.
+    A term's d(m) * 2^52 fits in int64 while d(m) < 2^11; so does the
+    sum, as D(n) < 2^11 for n < e^60, far beyond any array in memory.
     """
     counts = _divisor_counts(xmax)
     if counts.max() >= 1 << 11:
         raise ValueError(f"divisor counts up to {xmax} overflow int64 units")
-    n = np.arange(1, xmax + 1, dtype=np.int64)
-    units = np.cumsum((counts << 52) // n)
+    return counts
+
+
+def _sum_bounds(units, n):
+    """Directed bounds for D(n) from the exact sum of its floored terms.
+
+    Each term d(m)/m is floored to units of 2^-52 and the units add
+    exactly in int64, so D(n) lies in [units, units + n] * 2^-52.
+    """
     lo = _vdn(np.ldexp(units.astype(np.float64), -52))
     hi = _vup(np.ldexp((units + n).astype(np.float64), -52))
     return lo, hi
 
 
-def _log_bounds(xmax: int):
-    """Directed bounds for log n, n = 1..xmax: two ulps cover np.log."""
-    log_n = np.log(np.arange(1, xmax + 1, dtype=np.float64))
+def _log_range(n: np.ndarray):
+    """Directed bounds for log n at whole float64 n >= 1: two ulps cover np.log."""
+    log_n = np.log(n)
     return np.maximum(_vdn(_vdn(log_n)), 0.0), _vup(_vup(log_n))  # log n >= 0 here
 
 
-def _analytic_bounds(xmax: int):
-    """Directed bounds for A(n), n = 1..xmax, using the gamma windows."""
-    log_lo, log_hi = _log_bounds(xmax)
-    c0 = GAMMA0 * GAMMA0 - 2 * GAMMA1  # positive
+def _model_range(n: np.ndarray):
+    """Directed bounds for A(n) at whole float64 n >= 1, using the gamma windows."""
+    log_lo, log_hi = _log_range(n)
     # A is increasing in g0 and decreasing in g1 when log n >= 0
-    a_lo = _vdn(_vdn(0.5 * log_lo * log_lo) + _vdn(_vdn(2.0 * GAMMA0.lo * log_lo) + c0.lo))
-    a_hi = _vup(_vup(0.5 * log_hi * log_hi) + _vup(_vup(2.0 * GAMMA0.hi * log_hi) + c0.hi))
+    a_lo = _vdn(_vdn(0.5 * log_lo * log_lo) + _vdn(_vdn(2.0 * GAMMA0.lo * log_lo) + _C0.lo))
+    a_hi = _vup(_vup(0.5 * log_hi * log_hi) + _vup(_vup(2.0 * GAMMA0.hi * log_hi) + _C0.hi))
     return a_lo, a_hi
+
+
+def _log_bounds(xmax: int):
+    """Directed bounds for log n, n = 1..xmax."""
+    return _log_range(np.arange(1, xmax + 1, dtype=np.float64))
+
+
+def _analytic_bounds(xmax: int):
+    """Directed bounds for A(n), n = 1..xmax."""
+    return _model_range(np.arange(1, xmax + 1, dtype=np.float64))
 
 
 def divisor_sum(x: int) -> Interval:
     """Enclosure of D(x) = sum_{n <= x} d(n)/n."""
     if x < 1:
         raise ValueError(f"divisor_sum needs x >= 1: {x}")
-    s_lo, s_hi = _cumulative_sum_bounds(x)
-    return Interval(float(s_lo[-1]), float(s_hi[-1]))
+    n = np.arange(1, x + 1, dtype=np.int64)
+    lo, hi = _sum_bounds(((_checked_counts(x) << 52) // n).sum(), x)
+    return Interval(lo, hi)
 
 
 def error_term(x: int) -> Interval:
@@ -129,9 +150,9 @@ def error_term(x: int) -> Interval:
     """
     if x < 1:
         raise ValueError(f"error_term needs x >= 1: {x}")
-    s_lo, s_hi = _cumulative_sum_bounds(x)
-    a_lo, a_hi = _analytic_bounds(x)
-    return Interval(_vdn(s_lo[-1] - a_hi[-1]), _vup(s_hi[-1] - a_lo[-1]))
+    s = divisor_sum(x)
+    a_lo, a_hi = _model_range(np.array([x], dtype=np.float64))
+    return Interval(_vdn(s.lo - a_hi[0]), _vup(s.hi - a_lo[0]))
 
 
 def _head_supremum(alpha: Interval) -> tuple:
@@ -147,7 +168,7 @@ def _head_supremum(alpha: Interval) -> tuple:
     the maximum of the upper ends is a true upper bound.
     """
     g0 = GAMMA0
-    c0 = g0 * g0 - 2 * GAMMA1
+    c0 = _C0
 
     def value(u: Interval) -> Interval:
         q = u * u * 0.5 + 2 * g0 * u + c0
@@ -171,34 +192,52 @@ def _head_supremum(alpha: Interval) -> tuple:
 
 
 def _scan_supremum(alpha: Fraction, xmax: int) -> tuple:
-    """Supremum of |E(x)| x^alpha over [1, xmax], plus its location."""
-    s_lo, s_hi = _cumulative_sum_bounds(xmax)
-    a_lo, a_hi = _analytic_bounds(xmax)
+    """Supremum of |E(x)| x^alpha over [1, xmax], plus its location.
+
+    The walk over n = 1..xmax goes in blocks of ``_BLOCK``, carrying the
+    exact units of D(n) into the next block and keeping the running
+    maximum of the upper bound and the first argmax of the lower bound.
+    """
+    counts = _checked_counts(xmax)
     af = float(alpha)
-    n = np.arange(1, xmax + 1, dtype=np.float64)
-    pow_lo = _vdn(np.power(n, af) * (1.0 - _POW_PAD))
-    pow_hi = _vup(np.power(n + 1.0, af) * (1.0 + _POW_PAD))
-    pow_hi_at_n = _vup(np.power(n, af) * (1.0 + _POW_PAD))
+    units = 0  # of D(n0 - 1)
+    upper, lower, where = 0.0, -math.inf, 1.0
+    for n0 in range(1, xmax + 1, _BLOCK):
+        n1 = min(n0 + _BLOCK, xmax + 1)  # the block is n0 <= n < n1
+        n = np.arange(n0, n1, dtype=np.int64)
+        terms = (counts[n0 - 1 : n1 - 1] << 52) // n
+        terms[0] += units
+        block_units = np.cumsum(terms, out=terms)
+        units = int(block_units[-1])
+        s_lo, s_hi = _sum_bounds(block_units, n)
+        # A(m) and m^alpha also at m = n1, the next block's first point
+        m = np.arange(n0, min(n1, xmax) + 1, dtype=np.float64)
+        a_lo, a_hi = _model_range(m)
+        power = np.power(m, af)
+        k, j = len(n), len(m) - 1  # points, and points with a successor
 
-    abs_at = np.maximum(np.abs(_vdn(s_lo - a_hi)), np.abs(_vup(s_hi - a_lo)))
-    # value just before the jump at n+1: the sum still reads D(n)
-    abs_pre = np.maximum(
-        np.abs(_vdn(s_lo[:-1] - a_hi[1:])), np.abs(_vup(s_hi[:-1] - a_lo[1:]))
-    )
-    # unit interval [n, n+1): E decreases between jumps, so the endpoint
-    # values dominate |E|, and x^alpha is below (n+1)^alpha
-    per_interval = _vup(np.maximum(abs_at[:-1], abs_pre) * pow_hi[:-1])
-    last_point = _vup(abs_at[-1] * pow_hi_at_n[-1])
-    upper = max(float(per_interval.max(initial=0.0)), float(last_point))
+        pos_lo = _vdn(s_lo - a_hi[:k])  # lower end of E(n)
+        neg_lo = _vdn(a_lo[:k] - s_hi)  # lower end of -E(n)
+        abs_at = np.maximum(np.abs(pos_lo), np.abs(neg_lo))
+        # value just before the jump at n+1: the sum still reads D(n)
+        abs_pre = np.maximum(
+            np.abs(_vdn(s_lo[:j] - a_hi[1:])), np.abs(_vdn(a_lo[1:] - s_hi[:j]))
+        )
+        # unit interval [n, n+1): E decreases between jumps, so the
+        # endpoint values dominate |E|, and x^alpha is below (n+1)^alpha
+        pow_hi = _vup(power * (1.0 + _POW_PAD))
+        per_interval = _vup(np.maximum(abs_at[:j], abs_pre) * pow_hi[1:])
+        upper = max(upper, float(per_interval.max(initial=0.0)))
+        if j < k:  # the last point, xmax
+            upper = max(upper, float(_vup(abs_at[-1] * pow_hi[-1])))
 
-    # certified lower bound: achieved values at integer points
-    abs_at_lo = np.maximum(
-        np.maximum(_vdn(s_lo - a_hi), 0.0), np.maximum(_vdn(a_lo - s_hi), 0.0)
-    )
-    achieved = _vdn(abs_at_lo * pow_lo)
-    lower = float(achieved.max(initial=0.0))
-    where = float(n[int(np.argmax(achieved))]) if xmax >= 1 else 1.0
-    return Interval(lower, upper), where
+        # certified lower bound: achieved values at integer points
+        pow_lo = _vdn(power[:k] * (1.0 - _POW_PAD))
+        achieved = _vdn(np.maximum(np.maximum(pos_lo, neg_lo), 0.0) * pow_lo)
+        i = int(np.argmax(achieved))
+        if achieved[i] > lower:  # ties keep the smaller n
+            lower, where = float(achieved[i]), float(n0 + i)
+    return Interval(max(lower, 0.0), upper), where
 
 
 def scan_c(alpha: Union[Fraction, float], xmax: int) -> DivisorErrorScan:

@@ -49,17 +49,32 @@ def _up2(x: float) -> float:
     return math.nextafter(math.nextafter(x, math.inf), math.inf)
 
 
-# the array forms of _down and _up, for the vectorized pipelines
-_NINF = -math.inf
-_PINF = math.inf
+# The array forms of _down and _up, for the vectorized pipelines, as
+# integer steps on the float64 bit pattern.  Patterns of one sign are
+# ordered like the numbers they encode, so viewed as int64 the next double
+# up is bits + 1 for +0 up to max, and bits - 1 for a negative number,
+# whose magnitude shrinks (-inf steps to -max).  That is np.nextafter(a,
+# +-inf) bit for bit once -0 is folded into +0, whose step up is the least
+# subnormal, +inf is clamped to max, which steps back up to +inf, and NaN
+# is held fixed.  The step down from a is minus the step up from -a.
 
 
-def _vdn(a):
-    return np.nextafter(a, _NINF)
+def _step_up(x):
+    # x is a fresh float64 array that holds no -0
+    np.minimum(x, _FLOAT_MAX, out=x)
+    bits = x.view(np.int64)
+    up = bits >> 63  # -1 below zero, else 0
+    up |= 1
+    up += bits
+    return np.maximum(up.view(np.float64), x)  # NaN propagates
 
 
 def _vup(a):
-    return np.nextafter(a, _PINF)
+    return _step_up(np.asarray(np.add(a, 0.0)))  # -0 + 0 is +0
+
+
+def _vdn(a):
+    return -_step_up(np.asarray(np.subtract(0.0, a)))  # 0 - a is -a, with +0 for -0
 
 
 class Interval:

@@ -72,12 +72,17 @@ class CensusTableEntry(NamedTuple):
         return f"{self.mantissa}d{self.exponent}"
 
 
-def parse_entry(line: str) -> CensusTableEntry:
-    m = _LINE.match(line.strip())
+def _match_entry(line: str, quoted: str) -> CensusTableEntry:
+    # line is already stripped; an error quotes ``quoted``
+    m = _LINE.match(line)
     if m is None:
-        raise ValueError(f"malformed census table line: {line!r}")
+        raise ValueError(f"malformed census table line: {quoted!r}")
     k, n, pi2, pred = m.groups()
     return CensusTableEntry(int(k), int(n), int(pi2), None if pred is None else float(pred))
+
+
+def parse_entry(line: str) -> CensusTableEntry:
+    return _match_entry(line.strip(), line)
 
 
 def parse_table(text: str) -> list:
@@ -88,7 +93,7 @@ def parse_table(text: str) -> list:
         if not line or line.startswith("#"):
             continue
         try:
-            entries.append(parse_entry(line))
+            entries.append(_match_entry(line, line))
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
     return entries

@@ -1,6 +1,7 @@
 """Divisor-sum error term: exact-sum containment and the supremum scan."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -11,12 +12,14 @@ from hypothesis import strategies as st
 
 from brun import divisor_error
 from brun.divisor_error import (
+    _BLOCK,
     _POW_PAD,
     GAMMA0,
     GAMMA1,
     _analytic_bounds,
     _divisor_counts,
     _log_bounds,
+    _scan_supremum,
     divisor_sum,
     error_term,
     scan_c,
@@ -48,6 +51,146 @@ def assert_pinned(iv: Interval, pin: tuple, before: tuple) -> None:
     lo, hi = map(float.fromhex, pin)
     old_lo, old_hi = map(float.fromhex, before)
     assert old_lo <= lo and hi <= old_hi
+
+
+# Captured before the scan walked n in blocks, at xmax around its block
+# size B = 2^15.
+B = 1 << 15
+SCAN_ALPHAS = (Fraction(1, 3), Fraction(2, 5), Fraction(9, 20))
+HEAD_PINS = {
+    Fraction(1, 3): ("0x1.a40cb0724f53bp+0", "0x1.a40cc3f04f86ep+0"),
+    Fraction(2, 5): ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
+    Fraction(9, 20): ("0x1.8f7c7c703b3c7p-1", "0x1.8f7c988ae19a8p-1"),
+}
+SCAN_PINS = {  # (alpha, xmax): (bound, scanned, argmax)
+    (Fraction(1, 3), 1): (
+        ("0x1.a40cb0724f53bp+0", "0x1.a40cc3f04f86ep+0"),
+        ("0x1.0ad972526ca6ep-1", "0x1.0ad97ce80f7adp-1"),
+        "0x1.81181a80225acp-11",
+    ),
+    (Fraction(1, 3), 2): (
+        ("0x1.a40cb0724f53bp+0", "0x1.a40cc3f04f86ep+0"),
+        ("0x1.362302372df07p-1", "0x1.503599f677e89p-1"),
+        "0x1.81181a80225acp-11",
+    ),
+    (Fraction(1, 3), B - 1): (
+        ("0x1.a40cb0724f53bp+0", "0x1.a40cc3f04f86ep+0"),
+        ("0x1.362302372df07p-1", "0x1.6304aedb294aap-1"),
+        "0x1.81181a80225acp-11",
+    ),
+    (Fraction(1, 3), B): (
+        ("0x1.a40cb0724f53bp+0", "0x1.a40cc3f04f86ep+0"),
+        ("0x1.362302372df07p-1", "0x1.6304aedb294aap-1"),
+        "0x1.81181a80225acp-11",
+    ),
+    (Fraction(1, 3), B + 1): (
+        ("0x1.a40cb0724f53bp+0", "0x1.a40cc3f04f86ep+0"),
+        ("0x1.362302372df07p-1", "0x1.6304aedb294aap-1"),
+        "0x1.81181a80225acp-11",
+    ),
+    (Fraction(1, 3), 2 * B + 1): (
+        ("0x1.a40cb0724f53bp+0", "0x1.a40cc3f04f86ep+0"),
+        ("0x1.362302372df07p-1", "0x1.6304aedb294aap-1"),
+        "0x1.81181a80225acp-11",
+    ),
+    (Fraction(1, 3), 10**6): (
+        ("0x1.a40cb0724f53bp+0", "0x1.a40cc3f04f86ep+0"),
+        ("0x1.362302372df07p-1", "0x1.6304aedb294aap-1"),
+        "0x1.81181a80225acp-11",
+    ),
+    (Fraction(2, 5), 1): (
+        ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
+        ("0x1.0ad972526ca6ep-1", "0x1.0ad97ce80f7adp-1"),
+        "0x1.029084d1dafccp-9",
+    ),
+    (Fraction(2, 5), 2): (
+        ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
+        ("0x1.44cded0abd4c1p-1", "0x1.601c300e42b8ep-1"),
+        "0x1.029084d1dafccp-9",
+    ),
+    (Fraction(2, 5), B - 1): (
+        ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
+        ("0x1.5ae021eb6d793p-1", "0x1.7dfef9da61be7p-1"),
+        "0x1.029084d1dafccp-9",
+    ),
+    (Fraction(2, 5), B): (
+        ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
+        ("0x1.5ae021eb6d793p-1", "0x1.7dfef9da61be7p-1"),
+        "0x1.029084d1dafccp-9",
+    ),
+    (Fraction(2, 5), B + 1): (
+        ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
+        ("0x1.5ae021eb6d793p-1", "0x1.7dfef9da61be7p-1"),
+        "0x1.029084d1dafccp-9",
+    ),
+    (Fraction(2, 5), 2 * B + 1): (
+        ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
+        ("0x1.5ae021eb6d793p-1", "0x1.7dfef9da61be7p-1"),
+        "0x1.029084d1dafccp-9",
+    ),
+    (Fraction(2, 5), 10**6): (
+        ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
+        ("0x1.5ae021eb6d793p-1", "0x1.7dfef9da61be7p-1"),
+        "0x1.029084d1dafccp-9",
+    ),
+    (Fraction(9, 20), 1): (
+        ("0x1.8f7c7c703b3c7p-1", "0x1.8f7c988ae19a8p-1"),
+        ("0x1.0ad972526ca6ep-1", "0x1.0ad97ce80f7adp-1"),
+        "0x1.bea65e29ab6edp-9",
+    ),
+    (Fraction(9, 20), 2): (
+        ("0x1.8f7c7c703b3c7p-1", "0x1.8f7c988ae19a8p-1"),
+        ("0x1.504233a5f3f78p-1", "0x1.6c86f97d957c3p-1"),
+        "0x1.bea65e29ab6edp-9",
+    ),
+    (Fraction(9, 20), B - 1): (
+        ("0x1.8f7c7c703b3c7p-1", "0x1.96a35fa1fdfaep-1"),
+        ("0x1.86968580177ebp-1", "0x1.96a35fa1fdfaep-1"),
+        "0x1.8000000000000p+3",
+    ),
+    (Fraction(9, 20), B): (
+        ("0x1.8f7c7c703b3c7p-1", "0x1.96a35fa1fdfaep-1"),
+        ("0x1.86968580177ebp-1", "0x1.96a35fa1fdfaep-1"),
+        "0x1.8000000000000p+3",
+    ),
+    (Fraction(9, 20), B + 1): (
+        ("0x1.8f7c7c703b3c7p-1", "0x1.96a35fa1fdfaep-1"),
+        ("0x1.86968580177ebp-1", "0x1.96a35fa1fdfaep-1"),
+        "0x1.8000000000000p+3",
+    ),
+    (Fraction(9, 20), 2 * B + 1): (
+        ("0x1.8f7c7c703b3c7p-1", "0x1.96a35fa1fdfaep-1"),
+        ("0x1.86968580177ebp-1", "0x1.96a35fa1fdfaep-1"),
+        "0x1.8000000000000p+3",
+    ),
+    (Fraction(9, 20), 10**6): (
+        ("0x1.8f7c7c703b3c7p-1", "0x1.96a35fa1fdfaep-1"),
+        ("0x1.86968580177ebp-1", "0x1.96a35fa1fdfaep-1"),
+        "0x1.8000000000000p+3",
+    ),
+}
+POINT_PINS = {  # x: (divisor_sum, error_term)
+    1: (
+        ("0x1.fffffffffffffp-1", "0x1.0000000000002p+0"),
+        ("0x1.0ad972526cacdp-1", "0x1.0ad97ce80f74dp-1"),
+    ),
+    2: (
+        ("0x1.fffffffffffffp+0", "0x1.0000000000002p+1"),
+        ("0x1.ec4fb862e715bp-2", "0x1.ec4fd6dbcf5d5p-2"),
+    ),
+    10: (
+        ("0x1.8027027027025p+2", "0x1.802702702702ap+2"),
+        ("0x1.b72f41402af3fp-3", "0x1.b72fa965f4ba1p-3"),
+    ),
+    1000: (
+        ("0x1.028c2d947c4adp+5", "0x1.028c2d947c4cep+5"),
+        ("0x1.ae4605a8dbfffp-8", "0x1.ae627e3204001p-8"),
+    ),
+    10**5: (
+        ("0x1.402c9a9f8c8d2p+6", "0x1.402c9a9f8ceefp+6"),
+        ("0x1.252561d07ffffp-13", "0x1.2aa2eff380001p-13"),
+    ),
+}
 
 
 class TestGammaWindows:
@@ -93,6 +236,12 @@ class TestDivisorSum:
     def test_domain(self):
         with pytest.raises(ValueError):
             divisor_sum(0)
+
+    @pytest.mark.parametrize("x", sorted(POINT_PINS))
+    def test_point_bits(self, x):
+        sum_pin, error_pin = POINT_PINS[x]
+        assert hex_ends(divisor_sum(x)) == sum_pin
+        assert hex_ends(error_term(x)) == error_pin
 
 
 class TestErrorTerm:
@@ -168,6 +317,52 @@ class TestScan:
             ("0x1.5ae021eb6d752p-1", "0x1.7dfef9da61bedp-1"),
         )
         assert scan.argmax.hex() == "0x1.029084d1dafccp-9"
+
+    @pytest.mark.parametrize("alpha, xmax", sorted(SCAN_PINS))
+    def test_bits_around_blocks(self, alpha, xmax):
+        bound, scanned, argmax = SCAN_PINS[alpha, xmax]
+        scan = scan_c(alpha, xmax)
+        assert hex_ends(scan.bound) == bound
+        assert hex_ends(scan.head) == HEAD_PINS[alpha]
+        assert hex_ends(scan.scanned) == scanned
+        assert scan.argmax.hex() == argmax
+
+    def test_block_size_invariant(self, monkeypatch):
+        # blocks of 1, 2, 3 and 7 points put a block end at every kind of
+        # n: the carried sum, the overlap point and the running maxima
+        # must reproduce the default walk bit for bit
+        cases = [(a, x) for a in SCAN_ALPHAS for x in (1, 2, 3, 7, 8, 15, 2000)]
+        want = {case: _scan_supremum(*case) for case in cases}
+        for block in (1, 2, 3, 7):
+            monkeypatch.setattr(divisor_error, "_BLOCK", block)
+            for case in cases:
+                (got, got_at), (ref, ref_at) = _scan_supremum(*case), want[case]
+                assert hex_ends(got) == hex_ends(ref), (block, case)
+                assert got_at.hex() == ref_at.hex(), (block, case)
+
+    def test_first_argmax_on_ties(self, monkeypatch):
+        # a model window wide enough to hold every D(n) gives each point the
+        # same achieved value, so the location must stay at n = 1
+        def wide_model(n):
+            return np.zeros_like(n), np.full_like(n, 1e6)
+
+        monkeypatch.setattr(divisor_error, "_model_range", wide_model)
+        for block in (1, 2, 3, 7, _BLOCK):
+            monkeypatch.setattr(divisor_error, "_BLOCK", block)
+            scanned, where = _scan_supremum(Fraction(2, 5), 50)
+            assert scanned.lo == 0.0
+            assert where == 1.0, block
+
+    def test_memory_peak(self):
+        # one whole-range array of divisor counts (8 MB) plus one block of
+        # temporaries; whole-range float temporaries peaked above 100 MiB
+        tracemalloc.start()
+        try:
+            scan_c(Fraction(2, 5), 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, peak / 2**20
 
     def test_deterministic(self):
         a = scan_c(Fraction(1, 3), 2000)
