@@ -8,9 +8,9 @@ facts about the platform:
 
 * ``+ - * /`` and ``math.sqrt`` are correctly rounded (IEEE 754 requires
   this), so one outward nudge per endpoint absorbs the rounding error;
-* ``math.log``, ``math.exp``, ``math.log1p`` and ``math.pow`` are faithful
-  to within one ulp on every libm this package targets, so two outward
-  nudges per endpoint leave at least a full ulp of slack.
+* ``math.log``, ``math.exp`` and ``math.log1p`` are faithful to within
+  one ulp on every libm this package targets, so two outward nudges per
+  endpoint leave at least a full ulp of slack.
 
 Simplicity is preferred over tightness: exact operations are nudged too.
 Callers that need the last ulp should not; nobody here does.
@@ -47,6 +47,20 @@ def _down2(x: float) -> float:
 
 def _up2(x: float) -> float:
     return math.nextafter(math.nextafter(x, math.inf), math.inf)
+
+
+def _exp_ends(lo: float, hi: float) -> tuple:
+    """The ends of exp([lo, hi]), as ``Interval.exp`` returns them."""
+    try:
+        lo = 0.0 if lo == -math.inf else max(0.0, _down2(math.exp(lo)))
+    except OverflowError:
+        # exp(lo) exceeds the float range, so the true value does too
+        lo = _down2(_FLOAT_MAX)
+    try:
+        hi = math.inf if math.isinf(hi) else _up2(math.exp(hi))
+    except OverflowError:
+        hi = math.inf
+    return lo, hi
 
 
 # The array forms of _down and _up, for the vectorized pipelines, as
@@ -278,16 +292,7 @@ class Interval:
         return Interval(lo, hi)
 
     def exp(self) -> "Interval":
-        try:
-            lo = 0.0 if self.lo == -math.inf else max(0.0, _down2(math.exp(self.lo)))
-        except OverflowError:
-            # exp(lo) exceeds the float range, so the true value does too
-            lo = _down2(_FLOAT_MAX)
-        try:
-            hi = math.inf if math.isinf(self.hi) else _up2(math.exp(self.hi))
-        except OverflowError:
-            hi = math.inf
-        return Interval(lo, hi)
+        return Interval(*_exp_ends(self.lo, self.hi))
 
     def sqrt(self) -> "Interval":
         # sqrt is correctly rounded, one nudge suffices
@@ -297,35 +302,6 @@ class Interval:
             max(0.0, _down(math.sqrt(self.lo))),
             _up(math.sqrt(self.hi)) if not math.isinf(self.hi) else math.inf,
         )
-
-    def pow_real(self, r: float) -> "Interval":
-        """x ** r where the exponent is the exact double r.
-
-        Requires lo >= 0, and lo > 0 when r < 0.  For an exponent that is
-        a non-representable rational such as 2/5, use :func:`rational_pow`
-        instead; this method raises the base to whatever double you pass.
-        """
-        r = float(r)
-        if math.isnan(r) or math.isinf(r):
-            raise ValueError(f"pow_real exponent: {r!r}")
-        if self.lo < 0.0:
-            raise ValueError(f"pow_real domain: {self}")
-        if r < 0.0 and self.lo == 0.0:
-            raise ValueError("pow_real: negative exponent with zero in base")
-        p_lo = _pow_point(self.lo, r)
-        p_hi = _pow_point(self.hi, r)
-        if r >= 0.0:
-            lo, hi = p_lo, p_hi
-        else:
-            lo, hi = p_hi, p_lo
-        return Interval(max(0.0, _down2(lo)), _up2(hi))
-
-
-def _pow_point(x: float, r: float) -> float:
-    try:
-        return math.pow(x, r)
-    except OverflowError:
-        return math.inf
 
 
 def _coerce(x: IntervalLike) -> "Interval | None":
@@ -347,10 +323,10 @@ def _coerce(x: IntervalLike) -> "Interval | None":
 def rational_pow(x: Interval, num: int, den: int) -> Interval:
     """x ** (num/den) with the exponent treated as an exact rational.
 
-    Evaluates exp((num/den) * log x).  ``pow_real`` cannot do this job:
-    for a base near 1e10 the gap between 2/5 and its nearest double
-    already shifts x**0.4 by several ulps, which is more than the
-    two-nudge allowance covers.
+    Evaluates exp((num/den) * log x).  ``math.pow`` with the nearest
+    double to num/den cannot do this job: for a base near 1e10 the gap
+    between 2/5 and its nearest double already shifts x**0.4 by several
+    ulps, which is more than a two-nudge allowance covers.
 
     Requires x.lo >= 0 (the log lower endpoint may be -inf, which exp
     maps back to 0).

@@ -22,8 +22,8 @@ certified partial sum,
 
 where J = integral over u in [log x0, inf) of du/(u (u + F(e^u))).  J is
 split at a finite cutoff: below it an adaptive rigorous quadrature, above
-it F >= 0 gives the closed tail 1/cutoff.  Everything is interval
-arithmetic end to end, so the reported upper bound is a certified real
+it F >= 0 gives the closed tail 1/cutoff.  Everything is directed
+rounding end to end, so the reported upper bound is a certified real
 number, not an estimate.
 """
 
@@ -36,7 +36,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .interval import Interval, rational_pow
+from .interval import Interval, _down, _down2, _exp_ends, _up, _up2, rational_pow
 
 __all__ = [
     "BoundCertificate",
@@ -45,7 +45,6 @@ __all__ = [
     "RVParams",
     "brun_upper",
     "convex_piece",
-    "correction_term",
     "correction_term_log",
     "derive_params",
     "enclosure_piece",
@@ -202,13 +201,6 @@ def correction_term_log(u: Interval, params: RVParams) -> Interval:
     return Interval(max(0.0, v.lo), max(0.0, v.hi))
 
 
-def correction_term(x: Interval, params: RVParams) -> Interval:
-    """F(x) for x.lo > 1; see ``correction_term_log`` for huge x."""
-    if x.lo <= 1.0:
-        raise ValueError(f"need x > 1: {x}")
-    return correction_term_log(x.log(), params)
-
-
 def pi2_upper(x: Interval, params: RVParams) -> Interval:
     """Enclosure of the counting bound 8 C x/(log x (log x + F)) + kappa sqrt x.
 
@@ -335,6 +327,28 @@ def convex_piece(f: Callable[[Interval], Interval]) -> PieceFn:
     return piece
 
 
+def _correction_kernel(params: RVParams) -> Callable[[float], tuple]:
+    """``correction_term_log(Interval.point(u), params)`` as a float pair,
+    bit for bit, for a8, a9 >= 0 (see ``correction_piece``)."""
+    ha = Interval.from_fraction(params.alpha / 2)
+    a6, a7, a8, a9 = params.a6, params.a7, params.a8, params.a9
+
+    def correction(u: float) -> tuple:
+        if u <= 0.0:
+            raise ValueError(f"need positive log argument: {u}")
+        xa_lo, xa_hi = _exp_ends(_down(u * ha.lo), _up(u * ha.hi))
+        xs_lo, xs_hi = _exp_ends(_down(u * 0.5), _up(u * 0.5))
+        lo = _down(a6.lo + _down(a7.lo / u))
+        hi = _up(a6.hi + _up(a7.hi / u))
+        lo = _down(lo - _up(a8.hi / _down(xa_lo * u)))
+        hi = _up(hi - _down(a8.lo / _up(xa_hi * u)))
+        lo = _down(lo - _up(a9.hi / _down(xs_lo * u)))
+        hi = _up(hi - _down(a9.lo / _up(xs_hi * u)))
+        return max(0.0, lo), max(0.0, hi)
+
+    return correction
+
+
 def correction_piece(params: RVParams) -> PieceFn:
     """Piece rule for the tail integrand 16 C / (u (u + F(u))).
 
@@ -345,45 +359,53 @@ def correction_piece(params: RVParams) -> PieceFn:
 
         G(phi) = (1/phi) log( b (a + phi) / (a (b + phi)) ),
 
-    decreasing in phi, so evaluating G at the frozen endpoints brackets
-    the true piece integral far tighter than a zeroth-order rule.  The
-    16 C scale sits inside the rule so the driver's width target applies
-    to the integral exactly as it enters the certificate.
+    (1/a - 1/b at phi = 0), decreasing in phi, so G(F(b).hi).lo and
+    G(F(a).lo).hi bracket the true piece integral far tighter than a
+    zeroth-order rule.  The 16 C scale sits inside the rule so the
+    driver's width target applies to the integral exactly as it enters
+    the certificate.
 
-    Each node's F is evaluated once: a bisection reuses the ends its
-    parent piece already evaluated, so a run of n pieces makes n + 1
-    calls of ``correction_term_log``.  The memo lives as long as the
-    returned rule, keyed by the exact double u.
+    Rounding contract: the rule runs on floats and computes only the
+    ends of F and G that it uses, nudging each correctly rounded
+    operation once outward and each log or exp twice, as the
+    ``Interval`` methods do.  Every operand's sign is known, so the
+    corner that ``Interval.__mul__``/``__truediv__`` would pick with
+    min/max is named in advance; round-to-nearest is monotone, so it is
+    the same double and the ends are bit-identical.  Only the lower end
+    of G can dip below 0 (on a thin piece): the upper end's ratio is
+    rounded up past its exact value, which exceeds 1.
+
+    F is evaluated once per node, memoized by the exact double u for
+    the life of the returned rule, so n pieces cost n + 1 evaluations.
     """
-    if not (params.a7.hi <= 0.0 <= min(params.a8.lo, params.a9.lo)):
-        raise ValueError(
-            "frozen-correction quadrature needs a7 <= 0 and a8, a9 >= 0"
-        )
     scale = 16 * params.twin_c
+    if not (params.a7.hi <= 0.0 <= min(params.a8.lo, params.a9.lo, scale.lo)):
+        raise ValueError(
+            "frozen-correction quadrature needs a7 <= 0 and a8, a9, C >= 0"
+        )
+    kernel = _correction_kernel(params)
     f_at = {}
 
     def correction(u: float) -> tuple:
-        f = f_at.get(u)
-        if f is None:
-            iv = correction_term_log(Interval.point(u), params)
-            f = f_at[u] = (iv.lo, iv.hi)
-        return f
-
-    def closed_form(a: Interval, b: Interval, phi: float) -> Interval:
-        if phi == 0.0:
-            return 1 / a - 1 / b
-        p = Interval.point(phi)
-        return ((b * (a + p)) / (a * (b + p))).log() / p
+        if u not in f_at:
+            f_at[u] = kernel(u)
+        return f_at[u]
 
     def piece(a: float, b: float) -> Interval:
-        ia = Interval.point(a)
-        ib = Interval.point(b)
-        f_lo = correction(a)[0]
-        f_hi = correction(b)[1]
-        return scale * Interval(
-            closed_form(ia, ib, f_hi).lo,
-            closed_form(ia, ib, f_lo).hi,
-        )
+        phi = correction(b)[1]
+        if phi == 0.0:
+            lo = _down(_down(1.0 / a) - _up(1.0 / b))
+        else:
+            ratio = _down(_down(b * _down(a + phi)) / _up(a * _up(b + phi)))
+            lo = _down(_down2(math.log(ratio)) / phi)
+        phi = correction(a)[0]
+        if phi == 0.0:
+            hi = _up(_up(1.0 / a) - _down(1.0 / b))
+        else:
+            ratio = _up(_up(b * _up(a + phi)) / _down(a * _down(b + phi)))
+            hi = _up(_up2(math.log(ratio)) / phi)
+        corner = scale.hi if lo < 0.0 else scale.lo
+        return Interval(_down(corner * lo), _up(scale.hi * hi))
 
     return piece
 

@@ -204,16 +204,6 @@ class TestElementary:
         assert contains_fraction(l1, ref)
         assert l1.width <= 4 * math.ulp(x)
 
-    def test_pow_real_double_exponent(self):
-        p = Interval.point(4.0e18).pow_real(-0.2)
-        assert contains_decimal(p, POW_4E18_NEG02)
-
-    def test_pow_real_domain(self):
-        with pytest.raises(ValueError):
-            Interval(-1.0, 2.0).pow_real(0.5)
-        with pytest.raises(ValueError):
-            Interval(0.0, 2.0).pow_real(-1.0)
-
     def test_rational_pow_exact_exponent(self):
         p = rational_pow(Interval.point(4.0e18), -1, 5)
         assert contains_decimal(p, POW_4E18_NEG15)
@@ -221,7 +211,7 @@ class TestElementary:
         # so the relative width lands near 1e-14
         assert p.width / p.lo < 5e-14
         # the nearest double to -1/5 lands 2.5 ulp away at this base, so
-        # trusting pow_real's two-nudge budget there would be unsound
+        # math.pow with that double and a two-nudge budget would be unsound
         assert abs(float(POW_4E18_NEG02 - POW_4E18_NEG15)) > 2 * math.ulp(p.lo)
 
     def test_rational_pow_matches_sqrt(self):

@@ -1,6 +1,8 @@
 """Corrected sieve constants, rigorous quadrature, and the tail assembly."""
 
 import math
+import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from brun.rv_bound import (
     QuadratureError,
     brun_upper,
     convex_piece,
-    correction_term,
+    correction_piece,
     correction_term_log,
     derive_params,
     enclosure_piece,
@@ -151,20 +153,120 @@ class TestCorrectionTerm:
             assert cur.lo >= prev.lo
             assert cur.hi >= prev.hi
 
-    def test_x_space_wrapper(self):
-        p = derive_params()
-        x = Interval.point(1e6)
-        assert correction_term(x, p) == correction_term_log(x.log(), p)
-        # near the top of double range the log-space form must still work
-        big = correction_term(Interval.point(1e308), p)
-        assert math.isfinite(big.hi)
-
     def test_domain_errors(self):
         p = derive_params()
         with pytest.raises(ValueError):
-            correction_term(Interval.point(1.0), p)
-        with pytest.raises(ValueError):
             correction_term_log(Interval(-1.0, 2.0), p)
+
+
+PARAM_SETS = pytest.mark.parametrize(
+    "make_params",
+    [
+        derive_params,
+        lambda: derive_params(improved=True, x0=float(X0)),
+        idealized_params,
+    ],
+    ids=["default", "improved", "idealized"],
+)
+
+
+def ulps(x: float, k: int) -> float:
+    """x moved k doubles up (k > 0) or down (k < 0)."""
+    toward = math.inf if k > 0 else -math.inf
+    for _ in range(abs(k)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+def first_positive(f, lo: float, hi: float) -> float:
+    """The least double in (lo, hi] where the nondecreasing f is > 0,
+    given f(lo) == 0 < f(hi)."""
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def reference_piece(params, a: float, b: float) -> Interval:
+    """The frozen-F piece rule written in Interval arithmetic."""
+    ia, ib = Interval.point(a), Interval.point(b)
+
+    def closed_form(phi: float) -> Interval:
+        if phi == 0.0:
+            return 1 / ia - 1 / ib
+        p = Interval.point(phi)
+        return ((ib * (ia + p)) / (ia * (ib + p))).log() / p
+
+    f_lo = correction_term_log(ia, params).lo
+    f_hi = correction_term_log(ib, params).hi
+    return (16 * params.twin_c) * Interval(
+        closed_form(f_hi).lo, closed_form(f_lo).hi
+    )
+
+
+class TestFloatKernel:
+    """The quadrature's float kernel against the Interval operations."""
+
+    @PARAM_SETS
+    def test_correction_bits(self, make_params):
+        p = make_params()
+        kernel = rv_bound._correction_kernel(p)
+        log_max = math.log(sys.float_info.max)
+        # 18: F clamped to 0; 23.61: F's zero; then 4 ulps either side of
+        # where exp(u/2) and exp(u/5) overflow, which covers neither end,
+        # only the upper end, and both ends overflowing
+        grid = [18.0, 23.61, math.log(4e18), 20000.0]
+        for threshold in (2 * log_max, 5 * log_max):
+            grid += [ulps(threshold, k) for k in range(-4, 5)]
+        for end in ("lo", "hi"):
+            f = lambda u: getattr(correction_term_log(Interval.point(u), p), end)
+            if f(18.0) == 0.0:
+                # just past its zero an end is tiny, so its last ulps show
+                zero = first_positive(f, 18.0, 30.0)
+                grid += [zero + k * 2e-13 for k in range(-2, 8)]
+        for u in grid:
+            ref = correction_term_log(Interval.point(u), p)
+            assert tuple(x.hex() for x in kernel(u)) == (ref.lo.hex(), ref.hi.hex()), u
+
+    def test_correction_domain(self):
+        with pytest.raises(ValueError):
+            rv_bound._correction_kernel(derive_params())(0.0)
+
+    def test_piece_needs_positive_scale(self):
+        # the kernel names each product's corner from C > 0
+        with pytest.raises(ValueError):
+            correction_piece(idealized_params(twin_c=Interval(-1.0, 1.0)))
+
+    @PARAM_SETS
+    def test_piece_bits(self, make_params):
+        p = make_params()
+        rng = random.Random(20181)
+        pieces = []
+        for _ in range(80):  # anywhere in the range, any length
+            a = math.exp(rng.uniform(math.log(18.0), math.log(20000.0)))
+            b = min(20000.0, a + a * 10 ** rng.uniform(-12.0, 0.5))
+            pieces.append((a, b))
+        for _ in range(60):  # around F's zero, so phi == 0 on either side
+            a = rng.uniform(18.0, 30.0)
+            pieces.append((a, rng.uniform(a, 30.0)))
+        for _ in range(60):  # a few ulps long, where the lower end can dip below 0
+            a = math.exp(rng.uniform(math.log(18.0), math.log(20000.0)))
+            pieces.append((a, ulps(a, rng.randint(1, 64))))
+        rule = correction_piece(p)
+        negative = 0
+        for a, b in pieces:
+            assert a < b
+            got, ref = rule(a, b), reference_piece(p, a, b)
+            assert (got.lo.hex(), got.hi.hex()) == (ref.lo.hex(), ref.hi.hex()), (a, b)
+            negative += got.lo < 0.0
+        assert negative > 0
+        if p.a8.hi > 0.0:  # F is 0 only where a8 pulls it below zero
+            kernel = rv_bound._correction_kernel(p)
+            assert any(kernel(b)[1] == 0.0 for _, b in pieces)
+            assert any(kernel(a)[0] == 0.0 < kernel(b)[1] for a, b in pieces)
 
 
 class TestPi2Upper:
@@ -311,15 +413,20 @@ class TestBrunUpper:
     def test_correction_evaluated_once_per_node(self, monkeypatch):
         # a bisection reuses its parent's end values: n pieces, n + 1 nodes
         calls = []
-        inner = rv_bound.correction_term_log
+        make_kernel = rv_bound._correction_kernel
 
-        def counting(u, params):
-            calls.append(u)
-            return inner(u, params)
+        def counting_kernel(params):
+            kernel = make_kernel(params)
 
-        monkeypatch.setattr(rv_bound, "correction_term_log", counting)
+            def counting(u):
+                calls.append(u)
+                return kernel(u)
+
+            return counting
+
+        monkeypatch.setattr(rv_bound, "_correction_kernel", counting_kernel)
         cert = brun_upper(X0, PI2_X0, PARTIAL_X0)
-        assert len(calls) <= cert.quad_pieces + 1
+        assert 0 < len(calls) <= cert.quad_pieces + 1
 
     def test_idealized_reference(self):
         cert = brun_upper(X0, PI2_X0, PARTIAL_X0, params=idealized_params())
