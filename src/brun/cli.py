@@ -102,6 +102,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _segment_size(text: str) -> int:
+    value = _exact_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2: {text!r}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -403,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("census", help="sieve an exact census up to a limit")
     p.add_argument("--limit", type=_positive_int, required=True)
-    p.add_argument("--segment-size", type=_positive_int, default=DEFAULT_SEGMENT_SIZE)
+    p.add_argument("--segment-size", type=_segment_size, default=DEFAULT_SEGMENT_SIZE)
     p.add_argument("--threads", type=_positive_int, default=1, help="must be >= 1; has no effect")
     p.add_argument("--emit-table", metavar="PATH", help="write the count as a table row")
     p.add_argument("--json", metavar="PATH", help="write a JSON artifact")

@@ -48,6 +48,10 @@ __all__ = [
 #: from here on; tail estimates refuse smaller cutoffs.
 _PI_BOUND_FLOOR = 599
 
+# unlike the census's segment size, this one is part of the output bits
+# of h_bound and twin_constant, which round each segment's terms with one
+# fsum: at cutoff 1e8, h_bound's log_bound.lo is 0x1.b5be473e30996p+2 at
+# 2^24 but 0x1.b5be473e30995p+2 at 2^22 or 2^23.
 _S1_SEGMENT = 1 << 24
 
 # blanket relative error bound for one float64 log term against its

@@ -2,14 +2,14 @@
 
 One generator, ``_sieved_segments``, is the package's only segment loop.
 Its kernel is a segmented Eratosthenes on the wheel of 6: every prime
-above 3 is 6k - 1 or 6k + 1, so each segment keeps two k-indexed numpy
-byte masks, one per class, a sixth of the segment each.  A 5005-periodic
+above 3 is 6k - 1 or 6k + 1, so a segment keeps two k-indexed numpy byte
+masks, one per class, a sixth of the segment each.  A twin segment keeps
+one mask, one byte per k, flagging k with 6k - 1 and 6k + 1 both prime;
+each base prime crosses off both of its residues in it.  A 5005-periodic
 k-pattern pre-sieves 5, 7, 11 and 13, and base primes from 17 on cross
-off the rest.  The generator yields each segment, in ascending order and
-on the calling thread, as a ``_Segment``, which lists its primes, counts
-them or lists its twin lower members.  ``census``, ``twin_lower_members``
-and ``prime_count`` here, and both Euler products in ``euler_product``,
-map their per-segment work over it.
+off the rest.  The generator yields ``_Segment``s in ascending order on
+the calling thread.  ``census`` and ``twin_lower_members`` map over twin
+segments, ``prime_count`` and both Euler products over two-mask ones.
 
 The census adds the partial sum of 1/p + 1/(p+2) over twin pairs as an
 exact integer at the fixed binary scale 2^61: each reciprocal becomes
@@ -34,7 +34,8 @@ from .interval import Interval, _frac_bracket
 
 __all__ = ["TwinCensus", "census", "prime_count", "twin_lower_members"]
 
-DEFAULT_SEGMENT_SIZE = 1 << 22
+# a twin mask has one byte per k: 2^23 numbers take 1.4 MB, as two 2^22 class masks did
+DEFAULT_SEGMENT_SIZE = 1 << 23
 
 # the fixed-point unit of the census and table partial sums is 2^-61
 _SCALE = 1 << 61
@@ -80,12 +81,13 @@ def _base_prime_array(limit: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Segment:
-    """The primes of [lo, b + overhang] above 3, on the wheel of 6.
+    """The primes of [lo, hi] above 3, on the wheel of 6.
 
     ``minus[i]`` flags 6(k0 + i) - 1 and ``plus[i]`` flags 6(k0 + i) + 1
-    as prime; entries outside [lo, b + overhang] are False.  The segment
-    owns the primes of [lo, b]; lo == 3 marks the first segment, the one
-    that owns the prime 3.
+    as prime; entries outside [lo, hi] are False.  hi is b, or b + 2 in a
+    twin segment, whose ``minus`` and ``plus`` are one mask flagging k
+    when both are prime.  The segment owns the primes of [lo, b]; lo == 3
+    marks the first segment, the one that owns the prime 3.
     """
 
     lo: int
@@ -95,7 +97,7 @@ class _Segment:
     plus: np.ndarray
 
     def primes(self) -> np.ndarray:
-        """Odd primes in [lo, b], ascending int64 (overhang 0)."""
+        """Odd primes in [lo, b], ascending int64 (two masks)."""
         both = np.empty(2 * len(self.minus), dtype=bool)
         both[0::2] = self.minus
         both[1::2] = self.plus
@@ -104,31 +106,29 @@ class _Segment:
         return np.concatenate(([3], p)) if self.lo == 3 else p
 
     def prime_count(self) -> int:
-        """Number of odd primes in [lo, b] (overhang 0)."""
+        """Number of odd primes in [lo, b] (two masks)."""
         n = np.count_nonzero(self.minus) + np.count_nonzero(self.plus)
         return int(n) + (self.lo == 3)
 
     def twin_lower(self) -> np.ndarray:
-        """Twin lower members in [lo, b], ascending int64 (overhang 2).
+        """Twin lower members in [lo, b], ascending int64 (twin mask).
 
-        The masks reach 2 past the segment so a pair whose upper member
-        pokes past the segment edge is still seen by the segment that
-        owns p.
+        The mask reaches b + 2, so the segment that owns p sees p + 2 past
+        its edge; a flagged k has 6k + 1 <= b + 2, so 6k - 1 <= b.
         """
-        p = 6 * (self.k0 + np.nonzero(self.minus & self.plus)[0]) - 1
-        p = p[p <= self.b]
+        p = 6 * (self.k0 + np.nonzero(self.minus)[0]) - 1
         return np.concatenate(([3], p)) if self.lo == 3 else p
 
 
-def _sieved_segments(limit: int, segment_size: int, overhang: int = 0):
+def _sieved_segments(limit: int, segment_size: int, twins: bool = False):
     """Yield the ``_Segment``s of [3, limit], ascending.
 
     Segments hold segment_size numbers, the last one fewer; lo is the
-    segment start rounded up to odd, and a segment is sieved up to
-    b + overhang, so its consumer may look past b.  Consumers ``map`` over
-    it, which frees each segment before the next is sieved; under glibc,
-    holding one across the next sieve cost census(1e9) 42k page faults,
-    not 2.6k.
+    segment start rounded up to odd.  ``twins`` yields twin segments, one
+    mask tiled from the twin pattern and sieved to b + 2.  Consumers
+    ``map`` over it, which frees each segment before the next is sieved;
+    under glibc, holding one across the next sieve cost census(1e9) 42k
+    page faults, not 2.6k.
     """
     if segment_size < 2:
         raise ValueError(f"segment_size too small: {segment_size}")
@@ -136,32 +136,32 @@ def _sieved_segments(limit: int, segment_size: int, overhang: int = 0):
         return
     # below 17 the wheel and the pattern have done the work; each base
     # prime crosses off, in each class, the k = root (mod p) from p^2 on
-    p = _base_prime_array(math.isqrt(limit + overhang) + 1)
+    p = _base_prime_array(math.isqrt(limit + 2 * twins) + 1)
     p = p[p >= 17]
     inv6 = np.where(p % 6 == 5, (p + 1) // 6, p - (p - 1) // 6)  # 6 * inv6 = 1 (mod p)
     root = np.stack((inv6, p - inv6))  # p | 6k - 1, resp. p | 6k + 1
     k_min = (p * p + np.array([[6], [4]])) // 6  # least k with 6k -/+ 1 >= p^2
     first = k_min + (root - k_min) % p
+    patterns = [_PATTERNS[0] & _PATTERNS[1]] if twins else _PATTERNS
 
     def sieve(lo, b):
-        hi = b + overhang
+        hi = b + 2 * twins
         k0 = (lo + 4) // 6  # least k with 6k + 1 >= lo
         size = max((hi + 1) // 6 - k0 + 1, 0)
         # the pattern tiled from k = 0, cut to the segment's window of k
         offset = k0 % _PERIOD
         reps = -(-(offset + size) // _PERIOD)
-        masks = [np.tile(pattern, reps)[offset : offset + size] for pattern in _PATTERNS]
-        minus, plus = masks
-        for q in _PRESIEVED:
-            i = (q + 1) // 6 - k0
+        masks = [np.tile(pattern, reps)[offset : offset + size] for pattern in patterns]
+        minus, plus = masks[0], masks[-1]  # one array in twin mode
+        for i in (1 - k0, 2 - k0):  # restore 5, 7 (k = 1) and 11, 13 (k = 2)
             if 0 <= i < size:
-                (minus if q % 6 == 5 else plus)[i] = True
+                minus[i] = plus[i] = True
         n = int(np.searchsorted(p, math.isqrt(hi), side="right"))
         d = first[:, :n] - k0
         # first index at or after k0 in each class: d itself, or d mod p once
         # k0 has passed the prime's first multiple
         starts = np.maximum(d, d % p[:n])
-        for mask, row in zip(masks, starts):
+        for mask, row in zip((minus, plus), starts):
             hit = row < size  # short segments miss most primes; skip their slice calls
             for q, i in zip(p[:n][hit].tolist(), row[hit].tolist()):
                 mask[i::q] = False
@@ -204,7 +204,7 @@ def census(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE, threads: int = 
     if threads < 1:
         raise ValueError(f"threads must be >= 1: {threads}")
     pi2 = units = 0
-    for count, u in map(_twin_units, _sieved_segments(limit, segment_size, overhang=2)):
+    for count, u in map(_twin_units, _sieved_segments(limit, segment_size, twins=True)):
         pi2 += count
         units += u
     partial = _frac_bracket(Fraction(units, _SCALE), Fraction(units + 2 * pi2, _SCALE))
@@ -213,7 +213,7 @@ def census(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE, threads: int = 
 
 def twin_lower_members(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
     """All p <= limit with p and p + 2 prime, ascending int64 array."""
-    parts = list(map(_Segment.twin_lower, _sieved_segments(limit, segment_size, overhang=2)))
+    parts = list(map(_Segment.twin_lower, _sieved_segments(limit, segment_size, twins=True)))
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 

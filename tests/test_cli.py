@@ -73,6 +73,13 @@ class TestCensus:
         assert "pi2 = 8169" in out
         assert "brun_partial in [1.71077693080" in out
 
+    def test_segment_size_below_two_is_a_usage_error(self, capsys):
+        for size in ("1", "0", "-3"):
+            assert main(["census", "--limit", "100", "--segment-size", size]) == 1
+            assert "--segment-size: must be at least 2" in capsys.readouterr().err
+        assert main(["census", "--limit", "100", "--segment-size", "2"]) == 0
+        assert "pi2 = 8" in capsys.readouterr().out
+
     def test_emit_table(self, tmp_path, capsys):
         path = tmp_path / "row.txt"
         assert main(["census", "--limit", "1000000", "--emit-table", str(path)]) == 0

@@ -2,13 +2,16 @@
 
 import hashlib
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brun.sieve import (
+    DEFAULT_SEGMENT_SIZE,
     _sieved_segments,
     census,
     prime_count,
@@ -37,6 +40,20 @@ def primes_by_wheel(limit: int, segment_size: int) -> list:
     """All primes <= limit from the segment kernel's own prime lists."""
     segments = _sieved_segments(limit, segment_size)
     return ([2] if limit >= 2 else []) + [int(p) for s in segments for p in s.primes()]
+
+
+def twins_by_two_masks(limit: int, segment_size: int) -> list:
+    """Twin lower members <= limit from ``minus & plus`` of two-mask segments.
+
+    A pair split by a segment edge has its members in two segments, so the
+    class masks are gathered by k before they are combined."""
+    minus = np.zeros(limit // 6 + 2, dtype=bool)
+    plus = np.zeros_like(minus)
+    for s in _sieved_segments(limit + 2, segment_size):
+        minus[s.k0 : s.k0 + len(s.minus)] |= s.minus
+        plus[s.k0 : s.k0 + len(s.plus)] |= s.plus
+    p = 6 * np.nonzero(minus & plus)[0] - 1
+    return [3] * (limit >= 3) + [int(q) for q in p if q <= limit]
 
 
 def hex_ends(c) -> tuple:
@@ -201,10 +218,15 @@ class TestWheelEdges:
         for limit in range(401):
             count = sum(flags[: limit + 1])
             twins = [p for p in range(3, limit + 1) if flags[p] and flags[p + 2]]
+            reference = census(limit)
+            exact = sum(Fraction(2 * p + 2, p * (p + 2)) for p in twins)
+            assert reference.pi2 == len(twins), limit
+            assert Fraction(reference.brun_partial.lo) <= exact <= Fraction(reference.brun_partial.hi)
             for segment_size in self.SEGMENTS:
                 assert prime_count(limit, segment_size) == count, (limit, segment_size)
                 members = twin_lower_members(limit, segment_size).tolist()
                 assert members == twins, (limit, segment_size)
+                assert census(limit, segment_size) == reference, (limit, segment_size)
 
     def test_presieved_primes_and_their_products(self):
         for segment_size in self.SEGMENTS + (4096,):
@@ -218,17 +240,67 @@ class TestWheelEdges:
             window = range(center - 40, center + 41)
             base = prime_count(center - 41)
             flags = [is_prime(n) for n in window]
+            twins = twins_by_trial_division(center + 40)
             for segment_size in (1000, center - 9, center + 4):
                 for i, limit in enumerate(window):
                     expected = base + sum(flags[: i + 1])
                     assert prime_count(limit, segment_size) == expected, (limit, segment_size)
+                    pairs = bisect_right(twins, limit)
+                    assert census(limit, segment_size).pi2 == pairs, (limit, segment_size)
             limit = center + 40
             primes = [n for n in range(limit + 1) if is_prime(n)]
-            twins = twins_by_trial_division(limit)
             for segment_size in (7, 13, 4096, center - 9):
                 assert primes_by_wheel(limit, segment_size) == primes, segment_size
                 members = twin_lower_members(limit, segment_size).tolist()
                 assert members == twins, segment_size
+
+    def test_segment_edges_between_pair_members(self):
+        # segments start at 3, so a size dividing b - 2 ends one at b; with
+        # b = p or p + 1 the pair (p, p + 2) straddles the edge
+        twins = twins_by_trial_division(2000)
+        for p in twins[1:]:
+            for b in (p, p + 1):
+                sizes = [d for d in range(2, b - 1) if (b - 2) % d == 0 and (b - 2) // d <= 40]
+                for segment_size in sizes:
+                    for limit in (b, p + 2, p + 8):
+                        expected = twins[: bisect_right(twins, limit)]
+                        members = twin_lower_members(limit, segment_size).tolist()
+                        assert members == expected, (limit, segment_size)
+                        assert census(limit, segment_size) == census(limit), (limit, segment_size)
+
+    def test_presieved_pairs(self):
+        # the pattern removes 5, 7, 11 and 13; the twin mask gets the pairs
+        # (5, 7) and (11, 13) back whatever segment holds k = 1 and k = 2
+        for segment_size in range(2, 20):
+            for limit in range(20):
+                expected = [p for p in (3, 5, 11, 17) if p <= limit]
+                members = twin_lower_members(limit, segment_size).tolist()
+                assert members == expected, (limit, segment_size)
+                assert census(limit, segment_size).pi2 == len(expected), (limit, segment_size)
+        first = next(_sieved_segments(100, 100, twins=True))
+        assert first.minus[:3].tolist() == [True, True, True]  # k = 1, 2, 3: 5, 11, 17
+
+    def test_twin_segment_is_one_mask(self):
+        # a twin segment's k have 6k in [lo - 1, b + 3], which spans at most
+        # segment_size + 4 integers, so the mask has at most
+        # ceil((segment_size + 4) / 6) bytes: segment_size // 6 + 1 at 2^23
+        for segment_size in self.SEGMENTS + (1000, 1001, 1002, 1003, 1004, 1005):
+            for s in _sieved_segments(20000, segment_size, twins=True):
+                assert s.minus is s.plus
+                assert len(s.minus) <= -(-(segment_size + 4) // 6), (segment_size, s.lo)
+        size = DEFAULT_SEGMENT_SIZE
+        for s in _sieved_segments(3 * size, size, twins=True):
+            assert s.minus is s.plus and len(s.minus) <= size // 6 + 1, s.lo
+
+    @given(
+        st.integers(min_value=0, max_value=5000),
+        st.integers(min_value=2, max_value=600),
+        st.integers(min_value=2, max_value=600),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_twin_mask_matches_two_masks(self, limit, twin_size, class_size):
+        members = twin_lower_members(limit, twin_size).tolist()
+        assert members == twins_by_two_masks(limit, class_size)
 
     def test_prime_lists_across_mask_fills(self):
         # segments spanning many pattern periods, starting anywhere in one
