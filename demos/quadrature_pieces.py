@@ -2,18 +2,23 @@
 """Adaptive quadrature work vs. requested certificate width.
 
 The correction integral behind the upper bound runs from log(4e18) to
-u = 20000 in log coordinates.  The adaptive integrator splits whichever
-piece currently contributes the most width, so cost concentrates near
-the left endpoint where the integrand still moves.  This prints the
-piece count and achieved width for a range of targets, then shows the
-second-order behaviour: halving a piece shrinks its width bracket by
-roughly a factor of four.
+the default cutoff u = 20000 (``DEFAULT_CUTOFF_U``) in log coordinates.
+The adaptive integrator splits whichever piece currently contributes
+the most width, so cost concentrates near the left endpoint where the
+integrand still moves.  This prints the piece count and achieved width
+for a range of targets, then shows the second-order behaviour: halving
+a piece shrinks its width bracket by roughly a factor of four.
 """
 
 import math
 import time
 
-from brun.rv_bound import correction_piece, derive_params, integrate_adaptive
+from brun.rv_bound import (
+    DEFAULT_CUTOFF_U,
+    correction_piece,
+    derive_params,
+    integrate_adaptive,
+)
 
 
 def main():
@@ -25,7 +30,7 @@ def main():
         started = time.monotonic()
         # a fresh rule per target: one rule remembers every F it evaluated
         result = integrate_adaptive(
-            correction_piece(params), u0, 20000.0, width_target=target
+            correction_piece(params), u0, DEFAULT_CUTOFF_U, width_target=target
         )
         elapsed = time.monotonic() - started
         print(

@@ -6,12 +6,14 @@ Subcommands: ``census`` (exact pair count and certified partial sum),
 ``certify`` (end-to-end enclosure of the full reciprocal sum), and
 ``project`` (heuristic, clearly flagged non-rigorous).
 
-Machine-readable artifacts are JSON with interval endpoints serialized
-as outward-rounded decimal strings alongside exact hex doubles, plus the
-tool version and sha256 hashes of any file inputs.  No timestamps, no
-environment capture: reruns with the same inputs are byte-identical,
-whatever the segment size.  Exit codes: 0 success, 1 usage error, 2
-computation error.
+Each handler prints its summary and returns the artifact body; ``main``
+adds ``command`` and ``version`` and writes it to ``--json`` (``--out``
+for certify).  Artifacts are JSON with interval endpoints serialized
+as outward-rounded decimal strings alongside exact hex doubles, plus
+sha256 hashes of any file inputs.  No timestamps, no environment
+capture: reruns with the same inputs are byte-identical, whatever the
+segment size.  Exit codes: 0 success, 1 usage error, 2 computation
+error.
 """
 
 from __future__ import annotations
@@ -25,15 +27,14 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from . import __version__
 from .divisor_error import scan_c
 from .euler_product import h_bound
 from .interval import Interval
 from .projection import DEFAULT_B_ASSUMED, project_table
-from .rv_bound import brun_upper, derive_params
-from .sieve import DEFAULT_SEGMENT_SIZE, census
+from .rv_bound import DEFAULT_CUTOFF_U, DEFAULT_WIDTH_TARGET, brun_upper, derive_params
+from .sieve import DEFAULT_SEGMENT_SIZE, TwinCensus, census
 from .tables import (
     DEFAULT_BASE_ENCLOSURE,
     DEFAULT_BASE_THRESHOLD,
@@ -70,14 +71,6 @@ def _interval_json(iv: Interval) -> dict:
         "lo_hex": iv.lo.hex(),
         "hi_hex": iv.hi.hex(),
     }
-
-
-def _emit(payload: dict, path: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------
@@ -126,12 +119,6 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}")
 
 
-def _existing_dir(text: str) -> str:
-    if not Path(text).is_dir():
-        raise argparse.ArgumentTypeError(f"directory not found: {text}")
-    return text
-
-
 def _exponent_list(text: str) -> list:
     try:
         ks = [int(part) for part in text.split(",") if part.strip()]
@@ -145,24 +132,48 @@ def _exponent_list(text: str) -> list:
 def _outward_from_decimals(lo_text: str, hi_text: str) -> Interval:
     """Endpoint strings to doubles, rounded away from the interior."""
     try:
-        lo = Interval.from_decimal(Decimal(lo_text)).lo
-        hi = Interval.from_decimal(Decimal(hi_text)).hi
+        return Interval(
+            Interval.from_decimal(Decimal(lo_text)).lo,
+            Interval.from_decimal(Decimal(hi_text)).hi,
+        )
     except decimal.InvalidOperation:
         raise UsageError(f"endpoints must be decimal numbers: {lo_text!r}, {hi_text!r}")
-    return Interval(lo, hi)
+    except ValueError as exc:  # reversed or NaN endpoints
+        raise UsageError(f"bad enclosure [{lo_text}, {hi_text}]: {exc}")
 
 
 # ---------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_census(args: argparse.Namespace) -> int:
-    result = census(args.limit, segment_size=args.segment_size, threads=args.threads)
+def _chain_tables(args: argparse.Namespace) -> tuple:
+    """(census at the last row, table directory, file hashes) from the
+    tables chained onto the base; the directory is ``--tables`` or else
+    $BRUN_TABLE_DIR."""
+    tables = args.tables if args.tables is not None else os.environ.get(TABLE_DIR_ENV)
+    if tables is None:
+        raise UsageError(
+            f"no census tables: pass --tables DIR or set {TABLE_DIR_ENV} (certify also "
+            "takes a censused partial sum as --pi2/--brun-lo/--brun-hi)"
+        )
+    if not Path(tables).is_dir():
+        raise UsageError(f"directory not found: {tables}")
+    rows, input_files = _read_table_dir(tables)
+    base = _outward_from_decimals(args.base_lo, args.base_hi)
+    return extend_partial_sum(args.base_x, base, rows), tables, input_files
+
+
+def _print_census(result: TwinCensus) -> None:
     print(f"pi2 = {result.pi2}")
     print(
         f"brun_partial in [{_dec_down(result.brun_partial.lo)}, "
         f"{_dec_up(result.brun_partial.hi)}]"
     )
+
+
+def _cmd_census(args: argparse.Namespace) -> dict:
+    result = census(args.limit, segment_size=args.segment_size, threads=args.threads)
+    _print_census(result)
     if args.emit_table:
         mantissa, exponent = args.limit, 0
         while mantissa >= 10 and mantissa % 10 == 0:
@@ -170,118 +181,76 @@ def _cmd_census(args: argparse.Namespace) -> int:
             exponent += 1
         entry = CensusTableEntry(mantissa, exponent, result.pi2)
         Path(args.emit_table).write_text(emit_table([entry]))
-    if args.json:
-        _emit(
-            {
-                "command": "census",
-                "version": __version__,
-                # segment size and thread count have no effect on
-                # results, so they stay out of the artifact
-                "inputs": {"limit": args.limit},
-                "pi2": result.pi2,
-                "brun_partial": _interval_json(result.brun_partial),
-            },
-            args.json,
-        )
-    return 0
+    return {
+        # segment size and thread count have no effect on results, so
+        # they stay out of the artifact
+        "inputs": {"limit": args.limit},
+        "pi2": result.pi2,
+        "brun_partial": _interval_json(result.brun_partial),
+    }
 
 
-def _cmd_extend(args: argparse.Namespace) -> int:
-    if args.tables is None:
-        raise UsageError(f"no table directory: pass --tables or set {TABLE_DIR_ENV}")
-    rows, input_files = _read_table_dir(args.tables)
-    base = _outward_from_decimals(args.base_lo, args.base_hi)
-    result = extend_partial_sum(args.base_x, base, rows)
+def _cmd_extend(args: argparse.Namespace) -> dict:
+    result, tables, input_files = _chain_tables(args)
     print(f"extended to {result.limit}")
-    print(f"pi2 = {result.pi2}")
-    print(
-        f"brun_partial in [{_dec_down(result.brun_partial.lo)}, "
-        f"{_dec_up(result.brun_partial.hi)}]"
-    )
-    if args.json:
-        _emit(
-            {
-                "command": "extend",
-                "version": __version__,
-                "inputs": {
-                    "base_x": args.base_x,
-                    "base": {"lo": args.base_lo, "hi": args.base_hi},
-                    "tables": str(args.tables),
-                    "input_files": input_files,
-                },
-                "limit": result.limit,
-                "pi2": result.pi2,
-                "brun_partial": _interval_json(result.brun_partial),
-            },
-            args.json,
-        )
-    return 0
+    _print_census(result)
+    return {
+        "inputs": {
+            "base_x": args.base_x,
+            "base": {"lo": args.base_lo, "hi": args.base_hi},
+            "tables": tables,
+            "input_files": input_files,
+        },
+        "limit": result.limit,
+        "pi2": result.pi2,
+        "brun_partial": _interval_json(result.brun_partial),
+    }
 
 
-def _cmd_scan_c(args: argparse.Namespace) -> int:
+def _cmd_scan_c(args: argparse.Namespace) -> dict:
     result = scan_c(args.alpha, args.xmax)
     print(f"c({args.alpha}) <= {_dec_up(result.bound.hi)}")
     print(f"supremum attained near x = {result.argmax:.6g}")
-    if args.json:
-        _emit(
-            {
-                "command": "scan-c",
-                "version": __version__,
-                "inputs": {"alpha": str(args.alpha), "xmax": args.xmax},
-                "bound": _interval_json(result.bound),
-                "head": _interval_json(result.head),
-                "scanned": _interval_json(result.scanned),
-                "argmax": result.argmax,
-            },
-            args.json,
-        )
-    return 0
+    return {
+        "inputs": {"alpha": str(args.alpha), "xmax": args.xmax},
+        "bound": _interval_json(result.bound),
+        "head": _interval_json(result.head),
+        "scanned": _interval_json(result.scanned),
+        "argmax": result.argmax,
+    }
 
 
-def _cmd_h_bound(args: argparse.Namespace) -> int:
+def _cmd_h_bound(args: argparse.Namespace) -> dict:
     report = h_bound(args.cutoff, args.alpha)
     print(f"H <= {_dec_up(report.h.hi)}")
     print(f"log bound in [{_dec_down(report.log_bound.lo)}, {_dec_up(report.log_bound.hi)}]")
-    if args.json:
-        _emit(
-            {
-                "command": "h-bound",
-                "version": __version__,
-                "inputs": {"cutoff": args.cutoff, "alpha": str(args.alpha)},
-                "pi_cutoff": report.pi_cutoff,
-                "partial_log_sum": _interval_json(report.partial_log_sum),
-                "tail_first_term": _interval_json(report.tail_first_term),
-                "tail_integral_term": _interval_json(report.tail_integral_term),
-                "log_bound": _interval_json(report.log_bound),
-                "h": _interval_json(report.h),
-            },
-            args.json,
-        )
-    return 0
+    return {
+        "inputs": {"cutoff": args.cutoff, "alpha": str(args.alpha)},
+        "pi_cutoff": report.pi_cutoff,
+        "partial_log_sum": _interval_json(report.partial_log_sum),
+        "tail_first_term": _interval_json(report.tail_first_term),
+        "tail_integral_term": _interval_json(report.tail_integral_term),
+        "log_bound": _interval_json(report.log_bound),
+        "h": _interval_json(report.h),
+    }
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
-    numeric = args.pi2 is not None or args.brun_lo is not None or args.brun_hi is not None
-    input_files = {}
-    if args.tables is not None and numeric:
-        raise UsageError("pass either --tables or the --pi2/--brun-lo/--brun-hi triple")
-    if args.tables is not None:
-        rows, input_files = _read_table_dir(args.tables)
-        base = _outward_from_decimals(args.base_lo, args.base_hi)
-        spliced = extend_partial_sum(args.base_x, base, rows)
-        if spliced.limit != args.x0:
-            raise ValueError(f"census tables end at {spliced.limit}, not at x0 = {args.x0}")
-        pi2_x0, partial = spliced.pi2, spliced.brun_partial
-    elif numeric:
-        if args.pi2 is None or args.brun_lo is None or args.brun_hi is None:
+def _cmd_certify(args: argparse.Namespace) -> dict:
+    triple = (args.pi2, args.brun_lo, args.brun_hi)
+    if any(value is not None for value in triple):
+        # an explicit triple wins over $BRUN_TABLE_DIR, not over --tables
+        if args.tables is not None:
+            raise UsageError("pass either --tables or the --pi2/--brun-lo/--brun-hi triple")
+        if None in triple:
             raise UsageError("--pi2, --brun-lo and --brun-hi must be given together")
         pi2_x0 = args.pi2
         partial = _outward_from_decimals(args.brun_lo, args.brun_hi)
+        tables, input_files = None, {}
     else:
-        raise UsageError(
-            "certify needs a censused partial sum: --tables DIR "
-            f"(or {TABLE_DIR_ENV}) or --pi2/--brun-lo/--brun-hi"
-        )
+        spliced, tables, input_files = _chain_tables(args)
+        if spliced.limit != args.x0:
+            raise ValueError(f"census tables end at {spliced.limit}, not at x0 = {args.x0}")
+        pi2_x0, partial = spliced.pi2, spliced.brun_partial
 
     params = derive_params(improved=True, x0=float(args.x0)) if args.improved \
         else derive_params()
@@ -295,9 +264,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     )
     print(f"certified: {_dec_down(cert.lower)} <= B <= {_dec_up(cert.upper)}")
     print(f"quadrature pieces: {cert.quad_pieces}")
-    payload = {
-        "command": "certify",
-        "version": __version__,
+    return {
         "rigorous": True,
         "inputs": {
             "x0": cert.x0,
@@ -306,7 +273,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "cutoff_u": cert.cutoff_u,
             "width_target": cert.width_target,
             "improved": args.improved,
-            "tables": None if args.tables is None else str(args.tables),
+            "tables": tables,
             "input_files": input_files,
         },
         "params": {
@@ -333,12 +300,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "quad_pieces": cert.quad_pieces,
         },
     }
-    if args.out:
-        _emit(payload, args.out)
-    return 0
 
 
-def _cmd_project(args: argparse.Namespace) -> int:
+def _cmd_project(args: argparse.Namespace) -> dict:
     rows = project_table(args.ks, b_assumed=args.b_assumed)
     print(f"{'k':>4}  {'pi2_pred':>12}  {'B_pred':>10}  {'upper_pred':>10}")
     for row in rows:
@@ -347,28 +311,21 @@ def _cmd_project(args: argparse.Namespace) -> int:
             f"{row.upper_pred:>10.7f}"
         )
     print("all rows non-rigorous: heuristic inputs, not a certificate")
-    if args.json:
-        _emit(
+    return {
+        "rigorous": False,
+        "non_rigorous": True,
+        "inputs": {"ks": list(args.ks), "b_assumed": args.b_assumed},
+        "rows": [
             {
-                "command": "project",
-                "version": __version__,
-                "rigorous": False,
+                "k": row.k,
+                "pi2_pred": row.pi2_pred,
+                "b_pred": row.b_pred,
+                "upper_pred": row.upper_pred,
                 "non_rigorous": True,
-                "inputs": {"ks": list(args.ks), "b_assumed": args.b_assumed},
-                "rows": [
-                    {
-                        "k": row.k,
-                        "pi2_pred": row.pi2_pred,
-                        "b_pred": row.b_pred,
-                        "upper_pred": row.upper_pred,
-                        "non_rigorous": True,
-                    }
-                    for row in rows
-                ],
-            },
-            args.json,
-        )
-    return 0
+            }
+            for row in rows
+        ],
+    }
 
 
 # ---------------------------------------------------------------------
@@ -376,12 +333,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
 
 
 def _add_table_base_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--tables",
-        type=_existing_dir,
-        default=os.environ.get(TABLE_DIR_ENV),
-        help=f"census table directory (default: ${TABLE_DIR_ENV})",
-    )
+    sub.add_argument("--tables", help=f"census table directory (default: ${TABLE_DIR_ENV})")
     sub.add_argument(
         "--base-x",
         type=_positive_int,
@@ -449,14 +401,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi2", type=_positive_int, default=None)
     p.add_argument("--brun-lo", default=None)
     p.add_argument("--brun-hi", default=None)
-    p.add_argument("--cutoff-u", type=_positive_float, default=20000.0)
-    p.add_argument("--width-target", type=_positive_float, default=1e-6)
+    p.add_argument("--cutoff-u", type=_positive_float, default=DEFAULT_CUTOFF_U)
+    p.add_argument("--width-target", type=_positive_float, default=DEFAULT_WIDTH_TARGET)
     p.add_argument(
         "--improved",
         action="store_true",
         help="sharper sqrt coefficient anchored at x0",
     )
-    p.add_argument("--out", metavar="PATH", help="write the certificate JSON")
+    p.add_argument("--out", dest="json", metavar="PATH", help="write the certificate JSON")
     p.set_defaults(handler=_cmd_certify)
 
     p = subs.add_parser("project", help="heuristic projections (non-rigorous)")
@@ -475,7 +427,11 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     try:
-        return args.handler(args)
+        body = args.handler(args)
+        if args.json:
+            artifact = {"command": args.command, "version": __version__, **body}
+            Path(args.json).write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
+        return 0
     except UsageError as exc:
         print(f"brun: {exc}", file=sys.stderr)
         return 1

@@ -123,16 +123,6 @@ def _model_range(n: np.ndarray):
     return a_lo, a_hi
 
 
-def _log_bounds(xmax: int):
-    """Directed bounds for log n, n = 1..xmax."""
-    return _log_range(np.arange(1, xmax + 1, dtype=np.float64))
-
-
-def _analytic_bounds(xmax: int):
-    """Directed bounds for A(n), n = 1..xmax."""
-    return _model_range(np.arange(1, xmax + 1, dtype=np.float64))
-
-
 def divisor_sum(x: int) -> Interval:
     """Enclosure of D(x) = sum_{n <= x} d(n)/n."""
     if x < 1:

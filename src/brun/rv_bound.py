@@ -62,6 +62,11 @@ DEFAULT_TWIN_C = Interval(1.320323, 1.320324)
 DEFAULT_H_LOG = Interval(6.8509190276, 6.8565069)
 DEFAULT_SCAN_BOUND = Interval(1.0502, 1.0503)
 
+#: Default end of the quadrature range in log coordinates and default
+#: width cap of the quadrature enclosure in ``brun_upper``.
+DEFAULT_CUTOFF_U = 20000.0
+DEFAULT_WIDTH_TARGET = 1e-6
+
 
 @dataclass(frozen=True)
 class RVParams:
@@ -450,8 +455,8 @@ def brun_upper(
     pi2_x0: int,
     brun_partial_x0: Interval,
     params: Optional[RVParams] = None,
-    cutoff_u: float = 20000.0,
-    width_target: float = 1e-6,
+    cutoff_u: float = DEFAULT_CUTOFF_U,
+    width_target: float = DEFAULT_WIDTH_TARGET,
     max_pieces: int = 1 << 22,
 ) -> BoundCertificate:
     """Certify an upper bound for the full reciprocal sum from a census.

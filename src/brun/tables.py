@@ -141,23 +141,18 @@ def load_table_dir(path) -> list:
     return _merge(_read_table_dir(path)[0])[1]
 
 
-def _step_bracket(lower: CensusTableEntry, upper: CensusTableEntry) -> tuple:
-    """(2 delta, t2 + 2, t1) of two rows: each of the delta pairs in (t1, t2]
-    adds 1/p + 1/(p+2), which is at least 2/(t2+2) and at most 2/t1."""
+def bracket_contribution(lower: CensusTableEntry, upper: CensusTableEntry) -> Interval:
+    """Enclosure of the partial sum mass between two table rows: each of
+    the delta pairs in (t1, t2] adds 1/p + 1/(p+2), which is at least
+    2/(t2+2) and at most 2/t1."""
     t1 = lower.threshold
     t2 = upper.threshold
     if t2 <= t1:
         raise ValueError(f"rows out of order: {lower.label} !< {upper.label}")
-    delta = upper.pi2 - lower.pi2
-    if delta < 0:
+    two_delta = 2 * (upper.pi2 - lower.pi2)
+    if two_delta < 0:
         raise ValueError(f"pair count decreases between {lower.label} and {upper.label}")
-    return 2 * delta, t2 + 2, t1
-
-
-def bracket_contribution(lower: CensusTableEntry, upper: CensusTableEntry) -> Interval:
-    """Enclosure of the partial sum mass between two table rows."""
-    two_delta, below, above = _step_bracket(lower, upper)
-    return _frac_bracket(Fraction(two_delta, below), Fraction(two_delta, above))
+    return _frac_bracket(Fraction(two_delta, t2 + 2), Fraction(two_delta, t1))
 
 
 def extend_partial_sum(

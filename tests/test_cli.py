@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from brun import tables
+from brun import __version__, tables
 from brun.cli import main
 
 FIXTURE_TABLE = "tests/fixtures/census_excerpt.txt"
@@ -27,6 +27,24 @@ CERTIFY_TABLES = [
     "--base-lo", "1.83",
     "--base-hi", "1.84",
     "--width-target", "1e-3",
+]
+
+EXTEND_FIXTURES = [
+    "extend",
+    "--tables", "tests/fixtures",
+    "--base-x", "1e15",
+    "--base-lo", "1.83",
+    "--base-hi", "1.84",
+]
+
+# one run of each subcommand and the flag that names its artifact
+EVERY_COMMAND = [
+    (["census", "--limit", "1e6"], "--json"),
+    (EXTEND_FIXTURES, "--json"),
+    (["scan-c", "--alpha", "2/5", "--xmax", "2000"], "--json"),
+    (["h-bound", "--cutoff", "1e5"], "--json"),
+    (CERTIFY_NUMERIC, "--out"),
+    (["project", "--ks", "19,20"], "--json"),
 ]
 
 
@@ -64,6 +82,45 @@ class TestUsage:
         assert main(CERTIFY_NUMERIC + ["--cutoff-u", "inf"]) == 1
         assert main(CERTIFY_NUMERIC + ["--width-target", "inf"]) == 1
         assert main(["project", "--ks", "19", "--b-assumed", "inf"]) == 1
+
+
+class TestArtifacts:
+    # sha256 of each artifact: a change to any byte of the envelope or the
+    # body shows here, not only in a field a test happens to read
+    PINS = [
+        (["census", "--limit", "1e6"], "--json",
+         "848e7fb7e7557155c7e55104d695e5cbeb7ecd6e82e5c769a6fd88fb143a95ed"),
+        (EXTEND_FIXTURES, "--json",
+         "724cf910f8bb62b3a662baab57ac218b57293d86c63306f21a3a656d5d4c4c93"),
+        (["scan-c", "--alpha", "2/5", "--xmax", "2000"], "--json",
+         "e23a84b5cbd887c4e51b9bd28b4a435ccd310d031b50c1c73d977114fdfc2db5"),
+        (["h-bound", "--cutoff", "1e5"], "--json",
+         "e74a44d9942097518a596fe4da3477162af3db17f62efff878a613190c69938d"),
+        (CERTIFY_NUMERIC, "--out",
+         "579c1668946ea6b6bfa9b5923eaa16df475f81cc26456557f18e8e7f48ed2e03"),
+        (CERTIFY_TABLES, "--out",
+         "5b2a8a251e0961b428f0752c4086e8ec3501121953c086f52a813c2441baa99c"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag, digest", PINS)
+    def test_pinned_bytes(self, argv, flag, digest, tmp_path):
+        out = tmp_path / "artifact.json"
+        assert main(argv + [flag, str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, flag", EVERY_COMMAND)
+    def test_command_and_version(self, argv, flag, tmp_path):
+        out = tmp_path / "artifact.json"
+        assert main(argv + [flag, str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["command"] == argv[0]
+        assert payload["version"] == __version__
+
+    def test_unwritable_path_is_computation_error(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "artifact.json")
+        assert main(["census", "--limit", "1000", "--json", out]) == 2
+        assert main(CERTIFY_NUMERIC + ["--width-target", "1e-3", "--out", out]) == 2
+        assert capsys.readouterr().err.count("brun: ") == 2
 
 
 class TestCensus:
@@ -157,6 +214,32 @@ class TestExtend:
         ])
         assert rc == 0
         assert "extended to" in capsys.readouterr().out
+
+    def test_env_dir_recorded(self, table_dir, monkeypatch, tmp_path):
+        monkeypatch.setenv("BRUN_TABLE_DIR", table_dir)
+        out = tmp_path / "extend.json"
+        assert main(EXTEND_FIXTURES[:1] + EXTEND_FIXTURES[3:] + ["--json", str(out)]) == 0
+        assert json.loads(out.read_text())["inputs"]["tables"] == table_dir
+
+    def test_missing_dir_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        missing = str(tmp_path / "nope")
+        assert main(["extend", "--tables", missing]) == 1
+        assert "directory not found" in capsys.readouterr().err
+        monkeypatch.setenv("BRUN_TABLE_DIR", missing)
+        assert main(["extend"]) == 1
+        assert "directory not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lo, hi", [("1.84", "1.83"), ("nan", "1.84"), ("1.83", "nan")])
+    def test_bad_base_is_usage_error(self, table_dir, lo, hi, capsys):
+        rc = main([
+            "extend",
+            "--tables", table_dir,
+            "--base-x", "1000000000000000",
+            "--base-lo", lo,
+            "--base-hi", hi,
+        ])
+        assert rc == 1
+        assert "bad enclosure" in capsys.readouterr().err
 
     def test_missing_base_row(self, table_dir, capsys):
         rc = main([
@@ -265,6 +348,36 @@ class TestCertify:
     def test_rejects_mixed_sources(self, table_dir):
         rc = main(CERTIFY_NUMERIC + ["--tables", table_dir])
         assert rc == 1
+
+    def test_triple_beats_env_dir(self, tmp_path, monkeypatch):
+        plain = tmp_path / "plain.json"
+        assert main(CERTIFY_NUMERIC + ["--width-target", "1e-3", "--out", str(plain)]) == 0
+        for env in ("tests/fixtures", str(tmp_path / "nope")):
+            monkeypatch.setenv("BRUN_TABLE_DIR", env)
+            out = tmp_path / "env.json"
+            assert main(CERTIFY_NUMERIC + ["--width-target", "1e-3", "--out", str(out)]) == 0
+            assert out.read_bytes() == plain.read_bytes()
+
+    def test_env_dir_recorded(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BRUN_TABLE_DIR", "tests/fixtures")
+        argv = [arg for arg in CERTIFY_TABLES if arg not in ("--tables", "tests/fixtures")]
+        out = tmp_path / "cert.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text())["inputs"]["tables"] == "tests/fixtures"
+        explicit = tmp_path / "explicit.json"
+        assert main(CERTIFY_TABLES + ["--out", str(explicit)]) == 0
+        assert out.read_bytes() == explicit.read_bytes()
+
+    def test_missing_env_dir_when_tables_needed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BRUN_TABLE_DIR", str(tmp_path / "nope"))
+        assert main(["certify", "--x0", "4e18"]) == 1
+        assert "directory not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lo, hi", [("1.9", "1.8"), ("nan", "1.840518"), ("1.840503", "nan")])
+    def test_bad_partial_is_usage_error(self, lo, hi, capsys):
+        argv = CERTIFY_NUMERIC[:5] + ["--brun-lo", lo, "--brun-hi", hi]
+        assert main(argv) == 1
+        assert "bad enclosure" in capsys.readouterr().err
 
     def test_rejects_partial_triple(self, monkeypatch):
         monkeypatch.delenv("BRUN_TABLE_DIR", raising=False)

@@ -16,9 +16,9 @@ from brun.divisor_error import (
     _POW_PAD,
     GAMMA0,
     GAMMA1,
-    _analytic_bounds,
     _divisor_counts,
-    _log_bounds,
+    _log_range,
+    _model_range,
     _scan_supremum,
     divisor_sum,
     error_term,
@@ -414,8 +414,9 @@ class TestAnalyticBounds:
         powers = [2**k for k in range(self.XMAX.bit_length())]
         ns = sorted(set(range(1, 2001)) | set(powers) | set(sample.tolist()))
         assert ns[-1] <= self.XMAX
-        log_lo, log_hi = _log_bounds(self.XMAX)
-        a_lo, a_hi = _analytic_bounds(self.XMAX)
+        n = np.arange(1, self.XMAX + 1, dtype=np.float64)
+        log_lo, log_hi = _log_range(n)
+        a_lo, a_hi = _model_range(n)
         with mpmath.workdps(40):
             g0 = mpmath.euler
             g1 = mpmath.stieltjes(1)
