@@ -130,9 +130,9 @@ def _exponent_list(text: str) -> list:
 
 
 def _outward_from_decimals(lo_text: str, hi_text: str) -> Interval:
-    """Endpoint strings to doubles, rounded away from the interior."""
+    """Endpoint strings to finite doubles, rounded away from the interior."""
     try:
-        return Interval(
+        iv = Interval(
             Interval.from_decimal(Decimal(lo_text)).lo,
             Interval.from_decimal(Decimal(hi_text)).hi,
         )
@@ -140,6 +140,9 @@ def _outward_from_decimals(lo_text: str, hi_text: str) -> Interval:
         raise UsageError(f"endpoints must be decimal numbers: {lo_text!r}, {hi_text!r}")
     except ValueError as exc:  # reversed or NaN endpoints
         raise UsageError(f"bad enclosure [{lo_text}, {hi_text}]: {exc}")
+    if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)):
+        raise UsageError(f"bad enclosure [{lo_text}, {hi_text}]: endpoints must be finite")
+    return iv
 
 
 # ---------------------------------------------------------------------
@@ -149,9 +152,11 @@ def _outward_from_decimals(lo_text: str, hi_text: str) -> Interval:
 def _chain_tables(args: argparse.Namespace) -> tuple:
     """(census at the last row, table directory, file hashes) from the
     tables chained onto the base; the directory is ``--tables`` or else
-    $BRUN_TABLE_DIR."""
-    tables = args.tables if args.tables is not None else os.environ.get(TABLE_DIR_ENV)
-    if tables is None:
+    a nonempty $BRUN_TABLE_DIR."""
+    if args.tables == "":
+        raise UsageError("--tables needs a directory name")
+    tables = args.tables or os.environ.get(TABLE_DIR_ENV)
+    if not tables:
         raise UsageError(
             f"no census tables: pass --tables DIR or set {TABLE_DIR_ENV} (certify also "
             "takes a censused partial sum as --pi2/--brun-lo/--brun-hi)"

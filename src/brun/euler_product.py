@@ -36,7 +36,6 @@ from .interval import Interval, _frac_bracket, ei_neg, rational_pow
 from .sieve import _Segment, _sieved_segments
 
 __all__ = [
-    "GFactor",
     "HBoundReport",
     "g_factor_log",
     "g_value",
@@ -62,35 +61,14 @@ _S1_SEGMENT = 1 << 24
 _VEC_PAD = 7.2e-15
 
 
-@dataclass(frozen=True)
-class GFactor:
-    """Exact values of g at p, p^2, p^3 for one prime."""
-
-    prime: int
-    values: tuple
-
-    @classmethod
-    def at(cls, p: int) -> "GFactor":
-        if p == 2:
-            return cls(2, (Fraction(0), Fraction(-3, 4), Fraction(1, 4)))
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-            raise ValueError(f"not a prime: {p}")
-        d = p * (p - 2)
-        return cls(
-            p,
-            (
-                Fraction(4, d),
-                Fraction(-(3 * p + 2), p * d),
-                Fraction(2, p * d),
-            ),
-        )
-
-    def value(self, exponent: int) -> Fraction:
-        if exponent < 1:
-            raise ValueError(f"exponent must be >= 1: {exponent}")
-        if exponent > 3:
-            return Fraction(0)
-        return self.values[exponent - 1]
+def _g_local(p: int) -> tuple:
+    """Exact (g(p), g(p^2), g(p^3)) for one prime p."""
+    if p == 2:
+        return Fraction(0), Fraction(-3, 4), Fraction(1, 4)
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"not a prime: {p}")
+    d = p * (p - 2)
+    return Fraction(4, d), Fraction(-(3 * p + 2), p * d), Fraction(2, p * d)
 
 
 def g_value(n: int) -> Fraction:
@@ -108,12 +86,12 @@ def g_value(n: int) -> Fraction:
                 k += 1
             if k > 3:
                 return Fraction(0)
-            result *= GFactor.at(p).value(k)
+            result *= _g_local(p)[k - 1]
             if result == 0:
                 return result
         p += 1 if p == 2 else 2
     if m > 1:
-        result *= GFactor.at(m).value(1)
+        result *= _g_local(m)[0]
     return result
 
 
@@ -125,11 +103,10 @@ def g_factor_log(p: int, s: Fraction) -> Interval:
     s = Fraction(s)
     if not Fraction(-1, 2) < s < 0:
         raise ValueError(f"s out of range (-1/2, 0): {s}")
-    gf = GFactor.at(p)
     base = Interval.from_int(p)
     total = Interval(0.0, 0.0)
-    for k in (1, 2, 3):
-        coeff = abs(gf.value(k))
+    for k, g in enumerate(_g_local(p), 1):
+        coeff = abs(g)
         if coeff == 0:
             continue
         e = -k * s

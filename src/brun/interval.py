@@ -149,13 +149,6 @@ class Interval:
             return cls(f, f)
         return cls(_down(f), _up(f))
 
-    @classmethod
-    def hull(cls, *members: "Interval") -> "Interval":
-        """Smallest interval containing every argument."""
-        if not members:
-            raise ValueError("hull of nothing")
-        return cls(min(m.lo for m in members), max(m.hi for m in members))
-
     # ------------------------------------------------------------------
     # queries
 
@@ -349,8 +342,8 @@ EULER_GAMMA = Interval(0.5772156649015328, 0.5772156649015329)
 #
 # Ei(y) for y < 0 is what the tail-bound integrals need.  It reduces to
 # the decreasing positive function E1 via Ei(y) = -E1(-y).  E1 itself is
-# enclosed by one of three methods depending on the argument size; each
-# produces a rigorous bracket in exact rational arithmetic before any
+# enclosed by a power series up to z = 12 and a continued fraction beyond;
+# each produces a rigorous bracket in exact rational arithmetic before any
 # float rounding happens.
 
 
@@ -373,7 +366,6 @@ def ei_neg(x: Interval) -> Interval:
 
 
 _SERIES_MAX = 12.0
-_CONTFRAC_MAX = 700.0
 
 
 def _e1_point(z: float) -> Interval:
@@ -384,9 +376,7 @@ def _e1_point(z: float) -> Interval:
         return Interval(0.0, 5e-324)
     if z <= _SERIES_MAX:
         return _e1_series(z)
-    if z <= _CONTFRAC_MAX:
-        return _e1_contfrac(z)
-    return _e1_asymptotic(z)
+    return _e1_contfrac(z)
 
 
 def _frac_bracket(lo_q: Fraction, hi_q: Fraction) -> Interval:
@@ -440,14 +430,7 @@ def _e1_contfrac(z: float) -> Interval:
         if hi_q - lo_q <= hi_q * Fraction(1, 2**50) or depth >= 1024:
             break
         depth *= 2
-    scaled = _frac_bracket(lo_q, hi_q)
-    return scaled * Interval.point(-z).exp()
-
-
-def _e1_asymptotic(z: float) -> Interval:
-    # 1/(z+1) < e^z E1(z) < 1/z for all z > 0
-    zi = Interval.point(z)
-    ez = (-zi).exp()
-    lo = max(0.0, (ez / (zi + 1)).lo)  # E1 is positive
-    hi = (ez / zi).hi
-    return Interval(lo, hi)
+    e1 = _frac_bracket(lo_q, hi_q) * Interval.point(-z).exp()
+    # E1 > 0, but past z ~ 745 exp(-z) underflows and the lower end
+    # can round below 0
+    return Interval(max(0.0, e1.lo), e1.hi)

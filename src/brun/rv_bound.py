@@ -445,10 +445,6 @@ class BoundCertificate:
     lower: float
     upper: float
 
-    @property
-    def enclosure(self) -> Interval:
-        return Interval(self.lower, self.upper)
-
 
 def brun_upper(
     x0: int,
@@ -461,13 +457,13 @@ def brun_upper(
 ) -> BoundCertificate:
     """Certify an upper bound for the full reciprocal sum from a census.
 
-    Inputs: an exact pair count and a certified partial sum enclosure at
-    x0.  The tail beyond x0 is bounded by the corrected counting bound
-    through partial summation; the 16 C scaled integral runs in log
-    coordinates from log x0 to ``cutoff_u``, after which F >= 0 leaves
-    the closed tail 1/cutoff_u.  ``width_target`` caps the quadrature
-    enclosure width as it enters the certificate (default one digit
-    beyond a six-decimal bound); the other terms are exact-input
+    Inputs: an exact pair count and a certified, finite partial sum
+    enclosure at x0.  The tail beyond x0 is bounded by the corrected
+    counting bound through partial summation; the 16 C scaled integral
+    runs in log coordinates from log x0 to ``cutoff_u``, after which
+    F >= 0 leaves the closed tail 1/cutoff_u.  ``width_target`` caps the
+    quadrature enclosure width as it enters the certificate (default one
+    digit beyond a six-decimal bound); the other terms are exact-input
     interval evaluations.
     """
     if params is None:
@@ -476,6 +472,8 @@ def brun_upper(
         raise ValueError(f"x0 too small for the tail machinery: {x0}")
     if pi2_x0 < 0:
         raise ValueError(f"negative pair count: {pi2_x0}")
+    if not (math.isfinite(brun_partial_x0.lo) and math.isfinite(brun_partial_x0.hi)):
+        raise ValueError(f"partial sum enclosure must be finite: {brun_partial_x0}")
     if float(x0) < params.sqrt_valid_from:
         raise ValueError(
             f"x0 below the sqrt coefficient validity floor "

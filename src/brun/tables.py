@@ -22,6 +22,7 @@ unit, its upper end up), rounded outward once and added to the base.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from bisect import bisect_left
 from fractions import Fraction
@@ -39,7 +40,6 @@ __all__ = [
     "emit_table",
     "extend_partial_sum",
     "load_table_dir",
-    "parse_entry",
     "parse_table",
 ]
 
@@ -72,19 +72,6 @@ class CensusTableEntry(NamedTuple):
         return f"{self.mantissa}d{self.exponent}"
 
 
-def _match_entry(line: str, quoted: str) -> CensusTableEntry:
-    # line is already stripped; an error quotes ``quoted``
-    m = _LINE.match(line)
-    if m is None:
-        raise ValueError(f"malformed census table line: {quoted!r}")
-    k, n, pi2, pred = m.groups()
-    return CensusTableEntry(int(k), int(n), int(pi2), None if pred is None else float(pred))
-
-
-def parse_entry(line: str) -> CensusTableEntry:
-    return _match_entry(line.strip(), line)
-
-
 def parse_table(text: str) -> list:
     """Parse one table; blank lines and # comments are skipped."""
     entries = []
@@ -92,10 +79,13 @@ def parse_table(text: str) -> list:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            entries.append(_match_entry(line, line))
-        except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from None
+        m = _LINE.match(line)
+        if m is None:
+            raise ValueError(f"line {number}: malformed census table line: {line!r}")
+        k, n, pi2, pred = m.groups()
+        entries.append(
+            CensusTableEntry(int(k), int(n), int(pi2), None if pred is None else float(pred))
+        )
     return entries
 
 
@@ -166,9 +156,11 @@ def extend_partial_sum(
     chain needs its count to difference against).  Rows below the base
     are ignored.  The steps are summed in 2^-61 units, floors below and
     ceilings above, so the chain is exact up to one unit per step; it is
-    rounded outward once and added to ``base``.  Returns the count and
-    enclosure at the last row.
+    rounded outward once and added to ``base``, which must be finite.
+    Returns the count and enclosure at the last row.
     """
+    if not (math.isfinite(base.lo) and math.isfinite(base.hi)):
+        raise ValueError(f"base enclosure must be finite: {base}")
     thresholds, rows = _merge(entries)  # thresholds rise, counts never fall
     start = bisect_left(thresholds, base_threshold)
     if thresholds[start:start + 1] != [base_threshold]:

@@ -229,17 +229,30 @@ class TestExtend:
         assert main(["extend"]) == 1
         assert "directory not found" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lo, hi", [("1.84", "1.83"), ("nan", "1.84"), ("1.83", "nan")])
+    @pytest.mark.parametrize("lo, hi", [
+        ("1.84", "1.83"), ("nan", "1.84"), ("1.83", "nan"),
+        ("1.83", "inf"), ("-inf", "1.84"), ("1.83", "1e400"),
+    ])
     def test_bad_base_is_usage_error(self, table_dir, lo, hi, capsys):
         rc = main([
             "extend",
             "--tables", table_dir,
             "--base-x", "1000000000000000",
-            "--base-lo", lo,
-            "--base-hi", hi,
+            f"--base-lo={lo}",
+            f"--base-hi={hi}",
         ])
         assert rc == 1
         assert "bad enclosure" in capsys.readouterr().err
+
+    def test_empty_dir_name_is_not_cwd(self, table_dir, monkeypatch, capsys):
+        # the working directory holds a readable table, which must not be used
+        monkeypatch.chdir(table_dir)
+        base = EXTEND_FIXTURES[3:]
+        assert main(["extend", "--tables", ""] + base) == 1
+        assert "--tables needs a directory name" in capsys.readouterr().err
+        monkeypatch.setenv("BRUN_TABLE_DIR", "")
+        assert main(["extend"] + base) == 1
+        assert "no census tables" in capsys.readouterr().err
 
     def test_missing_base_row(self, table_dir, capsys):
         rc = main([
@@ -373,9 +386,12 @@ class TestCertify:
         assert main(["certify", "--x0", "4e18"]) == 1
         assert "directory not found" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lo, hi", [("1.9", "1.8"), ("nan", "1.840518"), ("1.840503", "nan")])
+    @pytest.mark.parametrize("lo, hi", [
+        ("1.9", "1.8"), ("nan", "1.840518"), ("1.840503", "nan"),
+        ("1.840503", "inf"), ("-inf", "1.840518"), ("1.840503", "1e400"),
+    ])
     def test_bad_partial_is_usage_error(self, lo, hi, capsys):
-        argv = CERTIFY_NUMERIC[:5] + ["--brun-lo", lo, "--brun-hi", hi]
+        argv = CERTIFY_NUMERIC[:5] + [f"--brun-lo={lo}", f"--brun-hi={hi}"]
         assert main(argv) == 1
         assert "bad enclosure" in capsys.readouterr().err
 

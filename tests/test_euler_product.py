@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from brun import euler_product
 from brun.euler_product import (
     _VEC_PAD,
-    GFactor,
     _h_local_log_terms,
     _log_sum,
     _twin_local_log_terms,
@@ -75,8 +74,8 @@ class TestGValues:
         assert g_value(1) == 1
 
     def test_gfactor_rejects_composite(self):
-        with pytest.raises(ValueError):
-            GFactor.at(9)
+        with pytest.raises(ValueError, match="not a prime"):
+            g_factor_log(9, Fraction(-2, 5))
 
     @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=300))
     @settings(max_examples=200, deadline=None)

@@ -377,7 +377,6 @@ class TestBrunUpper:
         assert Fraction(cert.sqrt_tail.lo) <= st <= Fraction(cert.sqrt_tail.hi)
         pt = Fraction(2 * PI2_X0, X0)
         assert Fraction(cert.pair_term.lo) <= pt <= Fraction(cert.pair_term.hi)
-        assert cert.enclosure == Interval(cert.lower, cert.upper)
 
     @pytest.mark.parametrize(
         "make_params, upper, integral, pieces",
@@ -453,6 +452,11 @@ class TestBrunUpper:
         anchored = derive_params(improved=True, x0=1e19)
         with pytest.raises(ValueError):
             brun_upper(X0, PI2_X0, PARTIAL_X0, params=anchored)
+
+    def test_rejects_half_line_partial(self):
+        for partial in (Interval(1.840503, math.inf), Interval(-math.inf, 1.840518)):
+            with pytest.raises(ValueError, match="must be finite"):
+                brun_upper(X0, PI2_X0, partial)
 
     def test_unreachable_target_raises(self):
         with pytest.raises(QuadratureError):

@@ -14,7 +14,6 @@ from brun.tables import (
     emit_table,
     extend_partial_sum,
     load_table_dir,
-    parse_entry,
     parse_table,
 )
 
@@ -23,7 +22,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 class TestParsing:
     def test_single_line(self):
-        e = parse_entry("1000d12  1177209242304  1177208491858.251")
+        e = parse_table("1000d12  1177209242304  1177208491858.251")[0]
         assert e.mantissa == 1000
         assert e.exponent == 12
         assert e.threshold == 10**15
@@ -32,18 +31,18 @@ class TestParsing:
         assert e.label == "1000d12"
 
     def test_prediction_optional(self):
-        e = parse_entry("5d6 32463")
+        e = parse_table("5d6 32463")[0]
         assert e.threshold == 5 * 10**6
         assert e.prediction is None
 
     def test_malformed_lines(self):
-        for bad in ["", "12 34", "ad3 5", "3d4 x", "3d4", "3d4 5 1e", "3d4 5 +-", "3d4 5 1.2.3"]:
+        for bad in ["12 34", "ad3 5", "3d4 x", "3d4", "3d4 5 1e", "3d4 5 +-", "3d4 5 1.2.3"]:
             with pytest.raises(ValueError, match="malformed census table line"):
-                parse_entry(bad)
+                parse_table(bad)[0]
 
     def test_prediction_forms(self):
         for text, value in [("1.5e3", 1500.0), ("-2", -2.0), (".5", 0.5), ("7.", 7.0)]:
-            assert parse_entry(f"3d4 5 {text}").prediction == value
+            assert parse_table(f"3d4 5 {text}")[0].prediction == value
 
     def test_bad_line_names_file_and_line(self, tmp_path):
         (tmp_path / "a.txt").write_text("1d6  8169\n")
@@ -163,6 +162,12 @@ class TestExtension:
         entries = self.make_entries([2 * 10**6, 3 * 10**6])
         with pytest.raises(ValueError):
             extend_partial_sum(10**6, Interval(1.7, 1.8), entries)
+
+    def test_rejects_half_line_base(self):
+        entries = load_table_dir(FIXTURES)
+        for base in (Interval(1.83, math.inf), Interval(-math.inf, 1.84)):
+            with pytest.raises(ValueError, match="must be finite"):
+                extend_partial_sum(10**15, base, entries)
 
     def test_conflicting_duplicate_counts(self):
         entries = [
