@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -118,8 +119,11 @@ def g_factor_log(p: int, s: Fraction) -> Interval:
 def _log_sum(cutoff: int, terms) -> tuple:
     """(enclosure of the sum of ``terms`` over the odd primes <= cutoff, pi(cutoff)).
 
-    ``terms`` maps one segment's odd primes, as float64, to float64 terms
-    y, all of one sign, each within eps |y| of its true value, eps = _VEC_PAD.
+    ``terms`` maps an array of odd primes, as float64, to float64 terms y,
+    all of one sign, each within eps |y| of its true value, eps = _VEC_PAD.
+    It sees one class array of a segment's ``members()`` at a time; one
+    fsum per segment takes them all, and it rounds their exact sum
+    correctly, so the order of the classes cannot change a bit.
     """
     # T is the true sum, Y the sum of the float terms y, S the exact sum
     # of the segment fsums s_b.  Each s_b is its segment's Y_b rounded
@@ -129,9 +133,10 @@ def _log_sum(cutoff: int, terms) -> tuple:
     # |Y - S| <= u |S| and |T - Y| <= eps |Y| <= eps (1 + u) |S|.
     pi_cutoff = 1 if cutoff >= 2 else 0  # the prime 2
     total = Fraction(0)
-    for primes in map(_Segment.primes, _sieved_segments(cutoff, _S1_SEGMENT)):
-        pi_cutoff += len(primes)
-        total += Fraction(math.fsum(memoryview(terms(primes.astype(np.float64)))))
+    for parts in map(_Segment.members, _sieved_segments(cutoff, _S1_SEGMENT)):
+        pi_cutoff += sum(map(len, parts))
+        ys = (memoryview(terms(p.astype(np.float64))) for p in parts)
+        total += Fraction(math.fsum(chain.from_iterable(ys)))
     u = Fraction(1, 1 << 53)
     pad = (Fraction(_VEC_PAD) * (1 + u) + u) * abs(total)
     return _frac_bracket(total - pad, total + pad), pi_cutoff
@@ -175,8 +180,6 @@ class HBoundReport:
     tail_integral_term: Interval
     log_bound: Interval
     h: Interval
-    k1: Interval
-    k2: Interval
 
 
 def _tail_envelope_coefficient(t: Interval, alpha: Fraction) -> Interval:
@@ -237,8 +240,6 @@ def h_bound(cutoff: int, alpha: Fraction) -> HBoundReport:
         tail_integral_term=integral,
         log_bound=log_bound,
         h=log_bound.exp(),
-        k1=k1,
-        k2=k2,
     )
 
 

@@ -2,13 +2,14 @@
 
 One generator, ``_sieved_segments``, is the package's only segment loop.
 Its kernel is a segmented Eratosthenes on the wheel of 6: every prime
-above 3 is 6k - 1 or 6k + 1, so a segment keeps two k-indexed numpy byte
-masks, one per class, a sixth of the segment each.  A twin segment keeps
-one mask, one byte per k, flagging k with 6k - 1 and 6k + 1 both prime;
-each base prime crosses off both of its residues in it.  A 5005-periodic
-k-pattern pre-sieves 5, 7, 11 and 13, and base primes from 17 on cross
-off the rest.  The generator yields ``_Segment``s in ascending order on
-the calling thread.  ``census`` and ``twin_lower_members`` map over twin
+above 3 is 6k - 1 or 6k + 1, so a segment's ``masks`` are two k-indexed
+numpy byte masks, one per class, a sixth of the segment each.  A twin
+segment's are one mask, one byte per k, flagging k with 6k - 1 and 6k + 1
+both prime; each base prime crosses off both of its residues in it.  A
+5005-periodic k-pattern pre-sieves 5, 7, 11 and 13, and base primes from
+17 on cross off the rest.  The generator yields segments in ascending
+order on the calling thread.  Consumers read them through ``members()``
+and ``count()``: ``census`` and ``twin_lower_members`` map over twin
 segments, ``prime_count`` and both Euler products over two-mask ones.
 
 The census adds the partial sum of 1/p + 1/(p+2) over twin pairs as an
@@ -43,6 +44,7 @@ _SCALE = 1 << 61
 # primes the k-pattern removes; each is 6k -/+ 1 for k = 1 or 2
 _PRESIEVED = (5, 7, 11, 13)
 _PERIOD = 5 * 7 * 11 * 13
+_OFFSETS = (-1, 1)  # the classes 6k - 1 and 6k + 1
 
 
 def _class_pattern(s: int) -> np.ndarray:
@@ -55,7 +57,7 @@ def _class_pattern(s: int) -> np.ndarray:
     return keep
 
 
-_PATTERNS = (_class_pattern(-1), _class_pattern(1))
+_PATTERNS = tuple(map(_class_pattern, _OFFSETS))
 
 
 @dataclass(frozen=True)
@@ -81,54 +83,37 @@ def _base_prime_array(limit: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Segment:
-    """The primes of [lo, hi] above 3, on the wheel of 6.
+    """The odd primes of [lo, b], b the segment's end, on the wheel of 6.
 
-    ``minus[i]`` flags 6(k0 + i) - 1 and ``plus[i]`` flags 6(k0 + i) + 1
-    as prime; entries outside [lo, hi] are False.  hi is b, or b + 2 in a
-    twin segment, whose ``minus`` and ``plus`` are one mask flagging k
-    when both are prime.  The segment owns the primes of [lo, b]; lo == 3
-    marks the first segment, the one that owns the prime 3.
+    ``masks[j][i]`` flags the member 6(k0 + i) + _OFFSETS[j], in [lo, b]:
+    the 6k - 1 and 6k + 1 class masks, or one twin mask, which flags lower
+    members and reaches b + 2 so that the segment owning p sees p + 2 past
+    its edge (6k + 1 <= b + 2, so 6k - 1 <= b).  lo == 3 marks the first
+    segment, which owns the prime 3.
     """
 
     lo: int
-    b: int
     k0: int
-    minus: np.ndarray
-    plus: np.ndarray
+    masks: tuple
 
-    def primes(self) -> np.ndarray:
-        """Odd primes in [lo, b], ascending int64 (two masks)."""
-        both = np.empty(2 * len(self.minus), dtype=bool)
-        both[0::2] = self.minus
-        both[1::2] = self.plus
-        i = np.nonzero(both)[0]
-        p = 6 * self.k0 - 1 + 3 * i - (i & 1)  # i = 2j -> 6(k0+j)-1, 2j+1 -> 6(k0+j)+1
-        return np.concatenate(([3], p)) if self.lo == 3 else p
+    def members(self) -> tuple:
+        """One ascending int64 array per mask, and [3] in the first segment."""
+        parts = tuple(6 * (self.k0 + np.nonzero(m)[0]) + s for s, m in zip(_OFFSETS, self.masks))
+        return (np.array([3], dtype=np.int64),) + parts if self.lo == 3 else parts
 
-    def prime_count(self) -> int:
-        """Number of odd primes in [lo, b] (two masks)."""
-        n = np.count_nonzero(self.minus) + np.count_nonzero(self.plus)
-        return int(n) + (self.lo == 3)
-
-    def twin_lower(self) -> np.ndarray:
-        """Twin lower members in [lo, b], ascending int64 (twin mask).
-
-        The mask reaches b + 2, so the segment that owns p sees p + 2 past
-        its edge; a flagged k has 6k + 1 <= b + 2, so 6k - 1 <= b.
-        """
-        p = 6 * (self.k0 + np.nonzero(self.minus)[0]) - 1
-        return np.concatenate(([3], p)) if self.lo == 3 else p
+    def count(self) -> int:
+        """The number of members."""
+        return int(sum(map(np.count_nonzero, self.masks))) + (self.lo == 3)
 
 
 def _sieved_segments(limit: int, segment_size: int, twins: bool = False):
     """Yield the ``_Segment``s of [3, limit], ascending.
 
     Segments hold segment_size numbers, the last one fewer; lo is the
-    segment start rounded up to odd.  ``twins`` yields twin segments, one
-    mask tiled from the twin pattern and sieved to b + 2.  Consumers
-    ``map`` over it, which frees each segment before the next is sieved;
-    under glibc, holding one across the next sieve cost census(1e9) 42k
-    page faults, not 2.6k.
+    segment start rounded up to odd.  ``twins`` yields twin segments.
+    Consumers ``map`` over it, which frees each segment before the next
+    is sieved; under glibc, holding one across the next sieve cost
+    census(1e9) 42k page faults, not 2.6k.
     """
     if segment_size < 2:
         raise ValueError(f"segment_size too small: {segment_size}")
@@ -170,7 +155,7 @@ def _sieved_segments(limit: int, segment_size: int, twins: bool = False):
                 minus[0] = False
             if 6 * (k0 + size - 1) + 1 > hi:
                 plus[-1] = False
-        return _Segment(lo, b, k0, minus, plus)
+        return _Segment(lo, k0, tuple(masks))
 
     for a in range(3, limit + 1, segment_size):
         lo = a if a % 2 == 1 else a + 1
@@ -182,11 +167,9 @@ def _sieved_segments(limit: int, segment_size: int, twins: bool = False):
 def _twin_units(segment: _Segment):
     """(count, sum of floor(2^61 / q) over both members q) of a segment's pairs.
 
-    The int64 sum cannot overflow: it is at most 2^61 times the segment's
-    partial sum, every partial sum is below Brun's constant B < 2.2886,
-    so a segment's units stay below 2^62.2."""
-    p = segment.twin_lower()
-    return len(p), int((_SCALE // p + _SCALE // (p + 2)).sum())
+    An int64 sum is at most 2^61 times a partial sum < B < 2.2886: no overflow."""
+    parts = segment.members()
+    return sum(map(len, parts)), sum(int((_SCALE // p + _SCALE // (p + 2)).sum()) for p in parts)
 
 
 def census(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE, threads: int = 1) -> TwinCensus:
@@ -213,11 +196,12 @@ def census(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE, threads: int = 
 
 def twin_lower_members(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
     """All p <= limit with p and p + 2 prime, ascending int64 array."""
-    parts = list(map(_Segment.twin_lower, _sieved_segments(limit, segment_size, twins=True)))
+    segments = map(_Segment.members, _sieved_segments(limit, segment_size, twins=True))
+    parts = [p for members in segments for p in members]
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 def prime_count(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     """pi(limit), exactly, by the same segmented machinery."""
-    odd = sum(map(_Segment.prime_count, _sieved_segments(limit, segment_size)))
+    odd = sum(map(_Segment.count, _sieved_segments(limit, segment_size)))
     return odd + 1 if limit >= 2 else 0  # the prime 2

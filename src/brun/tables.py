@@ -80,12 +80,10 @@ def parse_table(text: str) -> list:
         if not line or line.startswith("#"):
             continue
         m = _LINE.match(line)
-        if m is None:
+        pred = None if m is None or m["pred"] is None else float(m["pred"])
+        if m is None or not math.isfinite(pred or 0.0):  # 1e999 parses as inf
             raise ValueError(f"line {number}: malformed census table line: {line!r}")
-        k, n, pi2, pred = m.groups()
-        entries.append(
-            CensusTableEntry(int(k), int(n), int(pi2), None if pred is None else float(pred))
-        )
+        entries.append(CensusTableEntry(int(m["k"]), int(m["n"]), int(m["pi2"]), pred))
     return entries
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brun import euler_product
+from brun import euler_product, sieve
 from brun.euler_product import (
     _VEC_PAD,
     _h_local_log_terms,
@@ -101,7 +101,7 @@ class TestLocalFactorLog:
 
 
 class TestPrimeBlocks:
-    """The per-segment prime blocks both products sum."""
+    """The prime blocks both products sum: one per class array of a segment."""
 
     @staticmethod
     def fold(cutoff):
@@ -118,14 +118,16 @@ class TestPrimeBlocks:
     def check(self, cutoff, blocks, pi_cutoff):
         odd_primes = [n for n in range(3, cutoff + 1) if is_prime(n)]
         assert pi_cutoff == len(odd_primes) + (cutoff >= 2), cutoff
-        assert [p for b in blocks for p in b] == odd_primes, cutoff
-        if cutoff >= 3:
-            assert blocks[0][0] == 3, cutoff
+        assert sorted(p for b in blocks for p in b) == odd_primes, cutoff
+        assert bool(blocks) == (cutoff >= 3), cutoff
+        # the first segment's blocks: [3] and one per class
+        assert cutoff < 3 or any(3 in b for b in blocks[:3]), cutoff
 
     def test_one_block_per_cutoff(self):
+        # one segment up to 400: its [3] and one block per class
         for cutoff in range(401):
             blocks, pi_cutoff = self.fold(cutoff)
-            assert len(blocks) == (cutoff >= 3)
+            assert len(blocks) == 3 * (cutoff >= 3)
             self.check(cutoff, blocks, pi_cutoff)
 
     def test_short_segments(self, monkeypatch):
@@ -133,6 +135,22 @@ class TestPrimeBlocks:
             monkeypatch.setattr(euler_product, "_S1_SEGMENT", segment)
             for cutoff in range(401):
                 self.check(cutoff, *self.fold(cutoff))
+
+    def test_class_order_leaves_bits(self, monkeypatch):
+        # one fsum per segment rounds the exact sum of all its terms, so the
+        # order in which members() hands over the classes cannot matter
+        members, seen = sieve._Segment.members, []
+
+        def reversed_members(segment):
+            seen.append(segment.lo)
+            return members(segment)[::-1]
+
+        monkeypatch.setattr(sieve._Segment, "members", reversed_members)
+        report = h_bound(10**6, Fraction(2, 5))
+        assert hex_ends(report.partial_log_sum) == ("0x1.b368c4754023dp+2", "0x1.b368c475402a2p+2")
+        assert hex_ends(report.h) == ("0x1.c264d02fed2b2p+9", "0x1.dbd6b66a8bf2cp+9")
+        assert hex_ends(twin_constant(10**6)) == ("0x1.5200ba7efc024p+0", "0x1.5200bc42998aep+0")
+        assert seen == [3, 3]
 
 
 class TestVectorPad:

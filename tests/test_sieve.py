@@ -39,19 +39,20 @@ def twins_by_trial_division(limit: int) -> list:
 def primes_by_wheel(limit: int, segment_size: int) -> list:
     """All primes <= limit from the segment kernel's own prime lists."""
     segments = _sieved_segments(limit, segment_size)
-    return ([2] if limit >= 2 else []) + [int(p) for s in segments for p in s.primes()]
+    odd = sorted(int(p) for s in segments for part in s.members() for p in part)
+    return ([2] if limit >= 2 else []) + odd
 
 
 def twins_by_two_masks(limit: int, segment_size: int) -> list:
-    """Twin lower members <= limit from ``minus & plus`` of two-mask segments.
+    """Twin lower members <= limit from both class masks of two-mask segments.
 
     A pair split by a segment edge has its members in two segments, so the
     class masks are gathered by k before they are combined."""
     minus = np.zeros(limit // 6 + 2, dtype=bool)
     plus = np.zeros_like(minus)
     for s in _sieved_segments(limit + 2, segment_size):
-        minus[s.k0 : s.k0 + len(s.minus)] |= s.minus
-        plus[s.k0 : s.k0 + len(s.plus)] |= s.plus
+        for gathered, mask in zip((minus, plus), s.masks):
+            gathered[s.k0 : s.k0 + len(mask)] |= mask
     p = 6 * np.nonzero(minus & plus)[0] - 1
     return [3] * (limit >= 3) + [int(q) for q in p if q <= limit]
 
@@ -76,6 +77,7 @@ class TestCounts:
         assert prime_count(2) == 1
         assert prime_count(10) == 4
         assert prime_count(100) == 25
+        assert type(prime_count(100)) is int  # a numpy integer would not serialize to JSON
         assert prime_count(10**6) == 78498
 
     def test_tiny_limits(self):
@@ -278,7 +280,7 @@ class TestWheelEdges:
                 assert members == expected, (limit, segment_size)
                 assert census(limit, segment_size).pi2 == len(expected), (limit, segment_size)
         first = next(_sieved_segments(100, 100, twins=True))
-        assert first.minus[:3].tolist() == [True, True, True]  # k = 1, 2, 3: 5, 11, 17
+        assert first.masks[0][:3].tolist() == [True, True, True]  # k = 1, 2, 3: 5, 11, 17
 
     def test_twin_segment_is_one_mask(self):
         # a twin segment's k have 6k in [lo - 1, b + 3], which spans at most
@@ -286,11 +288,11 @@ class TestWheelEdges:
         # ceil((segment_size + 4) / 6) bytes: segment_size // 6 + 1 at 2^23
         for segment_size in self.SEGMENTS + (1000, 1001, 1002, 1003, 1004, 1005):
             for s in _sieved_segments(20000, segment_size, twins=True):
-                assert s.minus is s.plus
-                assert len(s.minus) <= -(-(segment_size + 4) // 6), (segment_size, s.lo)
+                assert len(s.masks) == 1
+                assert len(s.masks[0]) <= -(-(segment_size + 4) // 6), (segment_size, s.lo)
         size = DEFAULT_SEGMENT_SIZE
         for s in _sieved_segments(3 * size, size, twins=True):
-            assert s.minus is s.plus and len(s.minus) <= size // 6 + 1, s.lo
+            assert len(s.masks) == 1 and len(s.masks[0]) <= size // 6 + 1, s.lo
 
     @given(
         st.integers(min_value=0, max_value=5000),

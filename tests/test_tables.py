@@ -36,7 +36,9 @@ class TestParsing:
         assert e.prediction is None
 
     def test_malformed_lines(self):
-        for bad in ["12 34", "ad3 5", "3d4 x", "3d4", "3d4 5 1e", "3d4 5 +-", "3d4 5 1.2.3"]:
+        bad_lines = ["12 34", "ad3 5", "3d4 x", "3d4", "3d4 5 1e", "3d4 5 +-", "3d4 5 1.2.3"]
+        # a prediction must be a finite double: 1e999 would be written back as inf
+        for bad in bad_lines + ["3d4 5 1e999", "3d4 5 -1e999"]:
             with pytest.raises(ValueError, match="malformed census table line"):
                 parse_table(bad)[0]
 
