@@ -38,7 +38,7 @@ from .sieve import DEFAULT_SEGMENT_SIZE, TwinCensus, census
 from .tables import (
     DEFAULT_BASE_ENCLOSURE,
     DEFAULT_BASE_THRESHOLD,
-    CensusTableEntry,
+    _entry_at,
     _read_table_dir,
     emit_table,
     extend_partial_sum,
@@ -83,6 +83,8 @@ def _exact_int(text: str) -> int:
         d = Decimal(text)
     except decimal.InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not d.is_finite():  # int(inf) and comparing sNaN would raise uncaught
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     if d != d.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(d)
@@ -180,12 +182,7 @@ def _cmd_census(args: argparse.Namespace) -> dict:
     result = census(args.limit, segment_size=args.segment_size, threads=args.threads)
     _print_census(result)
     if args.emit_table:
-        mantissa, exponent = args.limit, 0
-        while mantissa >= 10 and mantissa % 10 == 0:
-            mantissa //= 10
-            exponent += 1
-        entry = CensusTableEntry(mantissa, exponent, result.pi2)
-        Path(args.emit_table).write_text(emit_table([entry]))
+        Path(args.emit_table).write_text(emit_table([_entry_at(args.limit, result.pi2)]))
     return {
         # segment size and thread count have no effect on results, so
         # they stay out of the artifact

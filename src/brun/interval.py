@@ -30,7 +30,7 @@ __all__ = ["Interval", "EULER_GAMMA", "ei_neg", "rational_pow"]
 
 _FLOAT_MAX = sys.float_info.max
 
-IntervalLike = Union["Interval", int, float, Fraction, Decimal]
+IntervalLike = Union["Interval", int, float]
 
 
 def _down(x: float) -> float:
@@ -306,10 +306,6 @@ def _coerce(x: IntervalLike) -> "Interval | None":
         return Interval.from_int(x)
     if isinstance(x, float):
         return Interval.point(x)
-    if isinstance(x, Fraction):
-        return Interval.from_fraction(x)
-    if isinstance(x, Decimal):
-        return Interval.from_decimal(x)
     return None
 
 

@@ -71,8 +71,6 @@ class TwinCensus:
 
 def _base_prime_array(limit: int) -> np.ndarray:
     """All primes <= limit by a dense sieve; limit stays around sqrt(x)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(limit) + 1):

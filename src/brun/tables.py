@@ -5,8 +5,8 @@ A census table is a text file of lines
     <k>d<n>  <pi2>  [<prediction>]
 
 where ``<k>d<n>`` names the threshold k * 10^n, ``<pi2>`` is the exact
-number of twin pairs up to that threshold, and the optional third column
-is a heuristic prediction carried along for display only.
+number of twin pairs up to that threshold, and an optional third column
+(a predicted count) is checked to be a finite decimal and discarded.
 
 Counts at two thresholds brace the partial sum growth between them: every
 pair (p, p+2) with t1 < p <= t2 contributes between 2/(t2+2) and 2/t1.
@@ -27,7 +27,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .interval import Interval, _frac_bracket
 from .sieve import _SCALE, TwinCensus
@@ -61,7 +61,6 @@ class CensusTableEntry(NamedTuple):
     mantissa: int
     exponent: int
     pi2: int
-    prediction: Optional[float] = None
 
     @property
     def threshold(self) -> int:
@@ -80,23 +79,19 @@ def parse_table(text: str) -> list:
         if not line or line.startswith("#"):
             continue
         m = _LINE.match(line)
-        pred = None if m is None or m["pred"] is None else float(m["pred"])
-        if m is None or not math.isfinite(pred or 0.0):  # 1e999 parses as inf
+        if m is None or not math.isfinite(float(m["pred"] or 0)):  # 1e999 parses as inf
             raise ValueError(f"line {number}: malformed census table line: {line!r}")
-        entries.append(CensusTableEntry(int(m["k"]), int(m["n"]), int(m["pi2"]), pred))
+        entries.append(CensusTableEntry(int(m["k"]), int(m["n"]), int(m["pi2"])))
     return entries
 
 
 def _merge(entries: Iterable[CensusTableEntry]) -> tuple:
-    """(ascending thresholds, the row at each), each threshold keyed once."""
+    """(ascending thresholds, the first row at each), each threshold keyed once."""
     by_threshold = {}
     for e in entries:
-        t = e.threshold
-        prev = by_threshold.get(t)
-        if prev is not None and prev.pi2 != e.pi2:
+        prev = by_threshold.setdefault(e.threshold, e)
+        if prev.pi2 != e.pi2:
             raise ValueError(f"conflicting counts at {e.label}: {prev.pi2} vs {e.pi2}")
-        if prev is None or (prev.prediction is None and e.prediction is not None):
-            by_threshold[t] = e
     thresholds = sorted(by_threshold)
     rows = [by_threshold[t] for t in thresholds]
     for a, b in zip(rows, rows[1:]):
@@ -174,12 +169,15 @@ def extend_partial_sum(
     return TwinCensus(limit=ts[-1], pi2=counts[-1], brun_partial=total)
 
 
+def _entry_at(threshold: int, pi2: int) -> CensusTableEntry:
+    """The row for ``pi2`` at ``threshold``, labelled in lowest terms (5d6)."""
+    mantissa, exponent = threshold, 0
+    while mantissa >= 10 and mantissa % 10 == 0:
+        mantissa //= 10
+        exponent += 1
+    return CensusTableEntry(mantissa, exponent, pi2)
+
+
 def emit_table(entries: Sequence[CensusTableEntry]) -> str:
-    """Render rows in the canonical on-disk format."""
-    lines = []
-    for e in entries:
-        if e.prediction is None:
-            lines.append(f"{e.label}  {e.pi2}")
-        else:
-            lines.append(f"{e.label}  {e.pi2}  {e.prediction:.3f}")
-    return "\n".join(lines) + "\n"
+    """Render rows in the canonical on-disk format, ``<k>d<n>  <pi2>``."""
+    return "\n".join(f"{e.label}  {e.pi2}" for e in entries) + "\n"

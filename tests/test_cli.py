@@ -77,6 +77,10 @@ class TestUsage:
     def test_bad_numbers(self):
         assert main(["census", "--limit", "-5"]) == 1
         assert main(["census", "--limit", "2.5"]) == 1
+        # non-finite decimals are usage errors, not OverflowError or InvalidOperation
+        for text in ("inf", "Infinity", "sNaN"):
+            assert main(["census", "--limit", text]) == 1
+        assert main(["certify", "--x0", "inf"]) == 1
         assert main(["scan-c", "--alpha", "abc"]) == 1
         assert main(["project", "--ks", "a,b"]) == 1
         assert main(CERTIFY_NUMERIC + ["--cutoff-u", "inf"]) == 1
@@ -141,6 +145,14 @@ class TestCensus:
         path = tmp_path / "row.txt"
         assert main(["census", "--limit", "1000000", "--emit-table", str(path)]) == 0
         assert path.read_text() == "1d6  8169\n"
+
+    @pytest.mark.parametrize("limit, row", [
+        ("1", "1d0  0"), ("10", "1d1  2"), ("1e6", "1d6  8169"), ("5e6", "5d6  32463"),
+    ])
+    def test_emit_table_threshold_spelling(self, limit, row, tmp_path, capsys):
+        path = tmp_path / "row.txt"
+        assert main(["census", "--limit", limit, "--emit-table", str(path)]) == 0
+        assert path.read_text() == row + "\n"
 
     def test_artifact_thread_invariant(self, tmp_path):
         a = tmp_path / "a.json"

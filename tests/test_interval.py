@@ -110,6 +110,15 @@ class TestArithmetic:
         assert contains_fraction(1 - Interval.point(0.25), Fraction(3, 4))
         assert contains_fraction(1 / Interval.point(4.0), Fraction(1, 4))
 
+    def test_exact_rationals_are_not_operands(self):
+        # Fraction and Decimal enter through from_fraction / from_decimal,
+        # which show the outward rounding at the call site; bool is no number
+        for other in (Fraction(1, 3), Decimal("0.1"), True):
+            with pytest.raises(TypeError):
+                Interval(1, 2) + other
+            with pytest.raises(TypeError):
+                other * Interval(1, 2)
+
     def test_mul_sign_cases(self):
         a = Interval(-2.0, 3.0)
         b = Interval(-5.0, 7.0)

@@ -10,6 +10,7 @@ from brun.interval import Interval
 from brun.sieve import census
 from brun.tables import (
     CensusTableEntry,
+    _entry_at,
     bracket_contribution,
     emit_table,
     extend_partial_sum,
@@ -27,13 +28,12 @@ class TestParsing:
         assert e.exponent == 12
         assert e.threshold == 10**15
         assert e.pi2 == 1177209242304
-        assert e.prediction == pytest.approx(1177208491858.251)
         assert e.label == "1000d12"
 
     def test_prediction_optional(self):
         e = parse_table("5d6 32463")[0]
         assert e.threshold == 5 * 10**6
-        assert e.prediction is None
+        assert e == CensusTableEntry(5, 6, 32463)
 
     def test_malformed_lines(self):
         bad_lines = ["12 34", "ad3 5", "3d4 x", "3d4", "3d4 5 1e", "3d4 5 +-", "3d4 5 1.2.3"]
@@ -43,8 +43,9 @@ class TestParsing:
                 parse_table(bad)[0]
 
     def test_prediction_forms(self):
-        for text, value in [("1.5e3", 1500.0), ("-2", -2.0), (".5", 0.5), ("7.", 7.0)]:
-            assert parse_table(f"3d4 5 {text}")[0].prediction == value
+        # the third column is checked, then dropped: the row is the two-column row
+        for text in ["1.5e3", "-2", ".5", "7."]:
+            assert parse_table(f"3d4 5 {text}") == parse_table("3d4 5")
 
     def test_bad_line_names_file_and_line(self, tmp_path):
         (tmp_path / "a.txt").write_text("1d6  8169\n")
@@ -68,6 +69,23 @@ class TestParsing:
     def test_emit_round_trip(self):
         entries = load_table_dir(FIXTURES)
         assert parse_table(emit_table(entries)) == entries
+
+    @pytest.mark.parametrize("threshold, label", [
+        (1, "1d0"), (10, "1d1"), (5 * 10**6, "5d6"),
+        (1001 * 10**12, "1001d12"), (4 * 10**18, "4d18"),
+    ])
+    def test_threshold_spelling_round_trip(self, threshold, label):
+        row = _entry_at(threshold, 8169)
+        assert emit_table([row]) == f"{label}  8169\n"
+        (back,) = parse_table(emit_table([row]))
+        assert (back.threshold, back.pi2) == (threshold, 8169)
+
+    def test_merge_keeps_first_row_per_threshold(self, tmp_path):
+        # 10d5 and 1d6 name one threshold; a predicted count changes nothing
+        (tmp_path / "a.txt").write_text("10d5  8169  8248.5\n2d6  14871\n")
+        (tmp_path / "b.txt").write_text("1d6  8169\n")
+        rows = load_table_dir(tmp_path)
+        assert rows == [CensusTableEntry(10, 5, 8169), CensusTableEntry(2, 6, 14871)]
 
 
 class TestBracket:
