@@ -6,19 +6,22 @@ Subcommands: ``census`` (exact pair count and certified partial sum),
 ``certify`` (end-to-end enclosure of the full reciprocal sum), and
 ``project`` (heuristic, clearly flagged non-rigorous).
 
-Each handler prints its summary and returns the artifact body; ``main``
-adds ``command`` and ``version`` and writes it to ``--json`` (``--out``
-for certify).  Artifacts are JSON with interval endpoints serialized
-as outward-rounded decimal strings alongside exact hex doubles, plus
-sha256 hashes of any file inputs.  No timestamps, no environment
-capture: reruns with the same inputs are byte-identical, whatever the
-segment size.  Exit codes: 0 success, 1 usage error, 2 computation
-error.
+Each handler prints its summary and returns the artifact body: its
+library report's fields, with the ones the command was given moved
+under ``inputs``.  ``main`` adds ``command`` and ``version`` and writes
+it to ``--json`` (``--out`` for certify) through one JSON encoder.  An
+interval is written as ``{lo, hi, lo_hex, hi_hex}``: outward-rounded
+decimal strings alongside exact hex doubles.  A rational is written as
+exact text ("2/5").  File inputs carry their sha256 hashes.  No
+timestamps, no environment capture: reruns with the same inputs are
+byte-identical, whatever the segment size.  Exit codes: 0 success, 1
+usage error, 2 computation error (running out of memory included).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import decimal
 import json
 import math
@@ -64,13 +67,29 @@ def _dec_up(x: float) -> str:
     return str(_UP.plus(Decimal(x)))
 
 
-def _interval_json(iv: Interval) -> dict:
-    return {
-        "lo": _dec_down(iv.lo),
-        "hi": _dec_up(iv.hi),
-        "lo_hex": iv.lo.hex(),
-        "hi_hex": iv.hi.hex(),
-    }
+def _fields(report, *drop) -> dict:
+    """A report dataclass's fields by name, less the ``drop`` names."""
+    names = [f.name for f in dataclasses.fields(report) if f.name not in drop]
+    return {name: getattr(report, name) for name in names}
+
+
+def _report(report, *inputs) -> dict:
+    """A report's fields, with the ``inputs`` names moved under "inputs"."""
+    body = _fields(report)
+    body["inputs"] = {name: body.pop(name) for name in inputs}
+    return body
+
+
+def _encode(obj):
+    """``json.dumps`` fallback for what the reports hold; ``json`` does the nesting."""
+    if isinstance(obj, Interval):
+        lo, hi = obj.lo, obj.hi
+        return {"lo": _dec_down(lo), "hi": _dec_up(hi), "lo_hex": lo.hex(), "hi_hex": hi.hex()}
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if dataclasses.is_dataclass(obj):
+        return _fields(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------
@@ -183,58 +202,33 @@ def _cmd_census(args: argparse.Namespace) -> dict:
     _print_census(result)
     if args.emit_table:
         Path(args.emit_table).write_text(emit_table([_entry_at(args.limit, result.pi2)]))
-    return {
-        # segment size and thread count have no effect on results, so
-        # they stay out of the artifact
-        "inputs": {"limit": args.limit},
-        "pi2": result.pi2,
-        "brun_partial": _interval_json(result.brun_partial),
-    }
+    # segment size and thread count have no effect on results, so they
+    # stay out of the artifact
+    return _report(result, "limit")
 
 
 def _cmd_extend(args: argparse.Namespace) -> dict:
     result, tables, input_files = _chain_tables(args)
     print(f"extended to {result.limit}")
     _print_census(result)
-    return {
-        "inputs": {
-            "base_x": args.base_x,
-            "base": {"lo": args.base_lo, "hi": args.base_hi},
-            "tables": tables,
-            "input_files": input_files,
-        },
-        "limit": result.limit,
-        "pi2": result.pi2,
-        "brun_partial": _interval_json(result.brun_partial),
-    }
+    # the base is echoed as the text it was given
+    base = {"lo": args.base_lo, "hi": args.base_hi}
+    inputs = {"base_x": args.base_x, "base": base, "tables": tables, "input_files": input_files}
+    return {**_fields(result), "inputs": inputs}
 
 
 def _cmd_scan_c(args: argparse.Namespace) -> dict:
     result = scan_c(args.alpha, args.xmax)
     print(f"c({args.alpha}) <= {_dec_up(result.bound.hi)}")
     print(f"supremum attained near x = {result.argmax:.6g}")
-    return {
-        "inputs": {"alpha": str(args.alpha), "xmax": args.xmax},
-        "bound": _interval_json(result.bound),
-        "head": _interval_json(result.head),
-        "scanned": _interval_json(result.scanned),
-        "argmax": result.argmax,
-    }
+    return _report(result, "alpha", "xmax")
 
 
 def _cmd_h_bound(args: argparse.Namespace) -> dict:
     report = h_bound(args.cutoff, args.alpha)
     print(f"H <= {_dec_up(report.h.hi)}")
     print(f"log bound in [{_dec_down(report.log_bound.lo)}, {_dec_up(report.log_bound.hi)}]")
-    return {
-        "inputs": {"cutoff": args.cutoff, "alpha": str(args.alpha)},
-        "pi_cutoff": report.pi_cutoff,
-        "partial_log_sum": _interval_json(report.partial_log_sum),
-        "tail_first_term": _interval_json(report.tail_first_term),
-        "tail_integral_term": _interval_json(report.tail_integral_term),
-        "log_bound": _interval_json(report.log_bound),
-        "h": _interval_json(report.h),
-    }
+    return _report(report, "cutoff", "alpha")
 
 
 def _cmd_certify(args: argparse.Namespace) -> dict:
@@ -256,52 +250,20 @@ def _cmd_certify(args: argparse.Namespace) -> dict:
 
     params = derive_params(improved=True, x0=float(args.x0)) if args.improved \
         else derive_params()
-    cert = brun_upper(
-        args.x0,
-        pi2_x0,
-        partial,
-        params=params,
-        cutoff_u=args.cutoff_u,
-        width_target=args.width_target,
-    )
+    cert = brun_upper(args.x0, pi2_x0, partial, params=params, cutoff_u=args.cutoff_u,
+                      width_target=args.width_target)
     print(f"certified: {_dec_down(cert.lower)} <= B <= {_dec_up(cert.upper)}")
     print(f"quadrature pieces: {cert.quad_pieces}")
-    return {
-        "rigorous": True,
-        "inputs": {
-            "x0": cert.x0,
-            "pi2_x0": cert.pi2_x0,
-            "brun_partial_x0": _interval_json(cert.brun_partial_x0),
-            "cutoff_u": cert.cutoff_u,
-            "width_target": cert.width_target,
-            "improved": args.improved,
-            "tables": tables,
-            "input_files": input_files,
-        },
-        "params": {
-            "alpha": str(params.alpha),
-            "rho": _interval_json(params.rho),
-            "twin_c": _interval_json(params.twin_c),
-            "h": _interval_json(params.h),
-            "scan_bound": _interval_json(params.scan_bound),
-            "a6": _interval_json(params.a6),
-            "a7": _interval_json(params.a7),
-            "a8": _interval_json(params.a8),
-            "a9": _interval_json(params.a9),
-            "sqrt_coefficient": _interval_json(params.sqrt_coefficient),
-        },
-        "result": {
-            "lower": _dec_down(cert.lower),
-            "lower_hex": cert.lower.hex(),
-            "upper": _dec_up(cert.upper),
-            "upper_hex": cert.upper.hex(),
-            "pair_term": _interval_json(cert.pair_term),
-            "integral": _interval_json(cert.integral),
-            "tail_bound": _interval_json(cert.tail_bound),
-            "sqrt_tail": _interval_json(cert.sqrt_tail),
-            "quad_pieces": cert.quad_pieces,
-        },
-    }
+    result = _report(cert, "x0", "pi2_x0", "brun_partial_x0", "cutoff_u", "width_target")
+    inputs = result.pop("inputs")
+    inputs.update(improved=args.improved, tables=tables, input_files=input_files)
+    # the artifact has never carried sqrt_valid_from
+    params = _fields(result.pop("params"), "sqrt_valid_from")
+    # the certificate's two ends: outward decimal strings plus exact hex
+    lower, upper = result.pop("lower"), result.pop("upper")
+    result.update(lower=_dec_down(lower), lower_hex=lower.hex())
+    result.update(upper=_dec_up(upper), upper_hex=upper.hex())
+    return {"rigorous": True, "inputs": inputs, "params": params, "result": result}
 
 
 def _cmd_project(args: argparse.Namespace) -> dict:
@@ -317,16 +279,8 @@ def _cmd_project(args: argparse.Namespace) -> dict:
         "rigorous": False,
         "non_rigorous": True,
         "inputs": {"ks": list(args.ks), "b_assumed": args.b_assumed},
-        "rows": [
-            {
-                "k": row.k,
-                "pi2_pred": row.pi2_pred,
-                "b_pred": row.b_pred,
-                "upper_pred": row.upper_pred,
-                "non_rigorous": True,
-            }
-            for row in rows
-        ],
+        # b_assumed already sits under inputs
+        "rows": [_fields(row, "b_assumed") for row in rows],
     }
 
 
@@ -432,12 +386,13 @@ def main(argv=None) -> int:
         body = args.handler(args)
         if args.json:
             artifact = {"command": args.command, "version": __version__, **body}
-            Path(args.json).write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
+            text = json.dumps(artifact, indent=2, sort_keys=True, default=_encode)
+            Path(args.json).write_text(text + "\n")
         return 0
     except UsageError as exc:
         print(f"brun: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
         print(f"brun: {exc}", file=sys.stderr)
         return 2
 

@@ -4,11 +4,14 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from brun import __version__, tables
+from brun import __version__, cli, tables
 from brun.cli import main
+from brun.interval import Interval
+from brun.sieve import TwinCensus
 
 FIXTURE_TABLE = "tests/fixtures/census_excerpt.txt"
 CERTIFY_NUMERIC = [
@@ -87,6 +90,15 @@ class TestUsage:
         assert main(CERTIFY_NUMERIC + ["--width-target", "inf"]) == 1
         assert main(["project", "--ks", "19", "--b-assumed", "inf"]) == 1
 
+    def test_out_of_memory_is_computation_error(self, monkeypatch, capsys):
+        def exhausted(alpha, xmax):
+            raise MemoryError(f"Unable to allocate {8 * xmax} bytes for the divisor counts")
+
+        monkeypatch.setattr(cli, "scan_c", exhausted)
+        assert main(["scan-c", "--xmax", "1e13"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("brun: Unable to allocate") and err.count("\n") == 1
+
 
 class TestArtifacts:
     # sha256 of each artifact: a change to any byte of the envelope or the
@@ -104,6 +116,12 @@ class TestArtifacts:
          "579c1668946ea6b6bfa9b5923eaa16df475f81cc26456557f18e8e7f48ed2e03"),
         (CERTIFY_TABLES, "--out",
          "5b2a8a251e0961b428f0752c4086e8ec3501121953c086f52a813c2441baa99c"),
+        # the two artifacts that drop a report field: the rows' b_assumed
+        # and the params' sqrt_valid_from
+        (["project", "--ks", "19,20"], "--json",
+         "39cb1a4ffb8ce380af1663b68f42a3043710ef1d98fb9d2a4b5417d5ec423317"),
+        (CERTIFY_NUMERIC + ["--improved"], "--out",
+         "4904342c7c2c39ff0dab457cfbfeac10dc95c341662e2cd92d627d326fe1c956"),
     ]
 
     @pytest.mark.parametrize("argv, flag, digest", PINS)
@@ -119,6 +137,16 @@ class TestArtifacts:
         payload = json.loads(out.read_text())
         assert payload["command"] == argv[0]
         assert payload["version"] == __version__
+
+    def test_encoder_maps_what_reports_hold_and_nothing_else(self):
+        partial = Interval(1.5, 2.0)
+        census = TwinCensus(limit=10, pi2=2, brun_partial=partial)
+        assert cli._encode(census) == {"limit": 10, "pi2": 2, "brun_partial": partial}
+        assert cli._encode(partial) == {"lo": "1.5", "hi": "2", "lo_hex": "0x1.8000000000000p+0",
+                                        "hi_hex": "0x1.0000000000000p+1"}
+        assert cli._encode(Fraction(1, 3)) == "1/3"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._encode(object())
 
     def test_unwritable_path_is_computation_error(self, tmp_path, capsys):
         out = str(tmp_path / "missing" / "artifact.json")

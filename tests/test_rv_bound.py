@@ -463,3 +463,10 @@ class TestBrunUpper:
             brun_upper(
                 X0, PI2_X0, PARTIAL_X0, width_target=1e-9, max_pieces=2000
             )
+
+    def test_default_budget_stops_an_unreachable_target(self):
+        # the default piece budget fails in seconds, not minutes
+        with pytest.raises(QuadratureError) as exc:
+            brun_upper(X0, PI2_X0, PARTIAL_X0, width_target=1e-300)
+        assert exc.value.pieces == rv_bound.DEFAULT_MAX_PIECES == 1 << 17
+        assert exc.value.achieved_width > 1e-7
