@@ -12,12 +12,12 @@ multiplier of the twin sieve, supported on cube-free numbers:
 for odd primes p, and g(p^k) = 0 for k >= 4.  H factors over primes, so
 log H = sum_p log(1 + |g(p)| p^alpha + |g(p^2)| p^(2 alpha) +
 |g(p^3)| p^(3 alpha)).  The sum over p <= cutoff is evaluated directly:
-float64 terms per sieve segment, one exactly rounded fsum per segment,
-the segment sums added exactly as rationals, and the total padded by a
-blanket relative error bound and rounded outward once.  The tail over
-p > cutoff is bounded through partial summation against an
-explicit Chebyshev-type bound on the prime counting function, which
-turns it into a first term at the cutoff plus an exponential integral.
+float64 terms per sieve segment, one correctly rounded sum per segment
+(by error-free extraction, the same bits as math.fsum), the segment sums
+added exactly as rationals, and the total padded by a blanket relative
+error bound and rounded outward once.  The tail over p > cutoff is bounded
+through partial summation against an explicit Chebyshev-type bound on
+pi(t), which turns it into a first term plus an exponential integral.
 
 The second product is the twin prime constant
 C = 2 prod_{p > 2} (1 - 1/(p-1)^2), enclosed the same way: certified
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -49,8 +48,8 @@ __all__ = [
 _PI_BOUND_FLOOR = 599
 
 # unlike the census's segment size, this one is part of the output bits
-# of h_bound and twin_constant, which round each segment's terms with one
-# fsum: at cutoff 1e8, h_bound's log_bound.lo is 0x1.b5be473e30996p+2 at
+# of h_bound and twin_constant, which round each segment's terms to one
+# sum: at cutoff 1e8, h_bound's log_bound.lo is 0x1.b5be473e30996p+2 at
 # 2^24 but 0x1.b5be473e30995p+2 at 2^22 or 2^23.
 _S1_SEGMENT = 1 << 24
 
@@ -116,17 +115,44 @@ def g_factor_log(p: int, s: Fraction) -> Interval:
     return total.log1p()
 
 
+def _segment_sum(arrays) -> float:
+    """math.fsum over all elements of the float64 ``arrays``, bit for bit.
+
+    Error-free extraction (ExtractVector in Rump, Ogita and Oishi, "Accurate
+    floating-point summation part I: faithful rounding", SIAM J. Sci. Comput.
+    31(1), 2008): for n terms r, |r| < 2^e, and sigma = 2^(e + bitlen(n+1)),
+    q = (r + sigma) - sigma and r - q are exact and q sums exactly in any
+    order.  Blocks of 2^15 are copied to scratch and extracted to zero; one
+    fsum rounds the block sums; a non-finite term or sigma raises ValueError.
+    """
+    rs, qs, levels = np.empty(1 << 15), np.empty(1 << 15), []
+    for a in arrays:
+        for i in range(0, len(a), len(rs)):
+            r, q = rs[: len(a) - i], qs[: len(a) - i]
+            np.copyto(r, a[i : i + len(r)])
+            while top := float(np.abs(r, out=q).max()):
+                k = math.frexp(top)[1] + (len(r) + 1).bit_length()
+                if not math.isfinite(top) or k > 1023:  # sigma = 2^k overflows
+                    raise ValueError(f"no finite extraction grid for a term of {top!r}")
+                sigma = math.ldexp(1.0, k)
+                np.subtract(np.add(r, sigma, out=q), sigma, out=q)
+                np.subtract(r, q, out=r)
+                levels.append(float(q.sum()))
+        del a  # free each terms array before the next is computed
+    return math.fsum(levels)
+
+
 def _log_sum(cutoff: int, terms) -> tuple:
     """(enclosure of the sum of ``terms`` over the odd primes <= cutoff, pi(cutoff)).
 
     ``terms`` maps an array of odd primes, as float64, to float64 terms y,
     all of one sign, each within eps |y| of its true value, eps = _VEC_PAD.
     It sees one class array of a segment's ``members()`` at a time; one
-    fsum per segment takes them all, and it rounds their exact sum
-    correctly, so the order of the classes cannot change a bit.
+    ``_segment_sum`` per segment rounds their exact sum correctly (and
+    raises on a NaN term), so the order of the classes cannot change a bit.
     """
     # T is the true sum, Y the sum of the float terms y, S the exact sum
-    # of the segment fsums s_b.  Each s_b is its segment's Y_b rounded
+    # of the segment sums s_b.  Each s_b is its segment's Y_b rounded
     # once, so |s_b - Y_b| <= u |s_b| with u = 2^-53.  The terms of one
     # product share a sign (h terms are log1p of a positive number, twin
     # terms log1p(-1/(p-1)^2) < 0), so sum |y| = |Y| and sum |s_b| = |S|:
@@ -135,8 +161,7 @@ def _log_sum(cutoff: int, terms) -> tuple:
     total = Fraction(0)
     for parts in map(_Segment.members, _sieved_segments(cutoff, _S1_SEGMENT)):
         pi_cutoff += sum(map(len, parts))
-        ys = (memoryview(terms(p.astype(np.float64))) for p in parts)
-        total += Fraction(math.fsum(chain.from_iterable(ys)))
+        total += Fraction(_segment_sum(terms(p.astype(np.float64)) for p in parts))
     u = Fraction(1, 1 << 53)
     pad = (Fraction(_VEC_PAD) * (1 + u) + u) * abs(total)
     return _frac_bracket(total - pad, total + pad), pi_cutoff

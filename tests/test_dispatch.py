@@ -3,7 +3,8 @@
 numpy picks its vector log1p, power and log kernels at import time.  With
 AVX512 dispatch turned off (``NPY_DISABLE_CPU_FEATURES``) a few percent of
 the terms change by an ulp or so; the pinned h_bound, twin_constant and
-scan_c ends must come out the same under both sets of kernels.
+scan_c ends, at 1e6 and at the benchmark's 1e8, must come out the same
+under both sets of kernels.
 """
 
 import json
@@ -27,6 +28,7 @@ from brun.divisor_error import scan_c
 from brun.euler_product import h_bound, twin_constant
 ends = lambda iv: [iv.lo.hex(), iv.hi.hex()]
 report = h_bound(10**6, Fraction(2, 5))
+report8 = h_bound(10**8, Fraction(2, 5))
 scan = scan_c(Fraction(2, 5), 10**6)
 print(json.dumps({
     "x86_v4": __cpu_features__["X86_V4"],
@@ -35,6 +37,11 @@ print(json.dumps({
     "twin_constant": ends(twin_constant(10**6)),
     "scanned": ends(scan.scanned),
     "bound": ends(scan.bound),
+    "pi_cutoff_1e8": report8.pi_cutoff,
+    "partial_log_sum_1e8": ends(report8.partial_log_sum),
+    "log_bound_1e8": ends(report8.log_bound),
+    "h_1e8": ends(report8.h),
+    "twin_constant_1e8": ends(twin_constant(10**8)),
 }))
 """
 
@@ -44,6 +51,11 @@ PINS = {
     "twin_constant": ["0x1.5200ba7efc024p+0", "0x1.5200bc42998aep+0"],
     "scanned": ["0x1.5ae021eb6d793p-1", "0x1.7dfef9da61be7p-1"],
     "bound": ["0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"],
+    "pi_cutoff_1e8": 5761455,
+    "partial_log_sum_1e8": ["0x1.b5be473e30996p+2", "0x1.b5be473e309fcp+2"],
+    "log_bound_1e8": ["0x1.b5be473e30996p+2", "0x1.b6d5b93b5b56cp+2"],
+    "h_1e8": ["0x1.d31f5a982e312p+9", "0x1.db28757eaac7bp+9"],
+    "twin_constant_1e8": ["0x1.5200bac1df089p+0", "0x1.5200bac530059p+0"],
 }
 
 
