@@ -8,14 +8,18 @@ Subcommands: ``census`` (exact pair count and certified partial sum),
 
 Each handler prints its summary and returns the artifact body: its
 library report's fields, with the ones the command was given moved
-under ``inputs``.  ``main`` adds ``command`` and ``version`` and writes
-it to ``--json`` (``--out`` for certify) through one JSON encoder.  An
-interval is written as ``{lo, hi, lo_hex, hi_hex}``: outward-rounded
-decimal strings alongside exact hex doubles.  A rational is written as
-exact text ("2/5").  File inputs carry their sha256 hashes.  No
-timestamps, no environment capture: reruns with the same inputs are
-byte-identical, whatever the segment size.  Exit codes: 0 success, 1
-usage error, 2 computation error (running out of memory included).
+under ``inputs``.  Two constants sit under ``inputs`` too, though no
+option sets them: certify's tail cutoff (``cutoff_u``) and project's
+assumed limit (``b_assumed``).  ``certify`` works at alpha = 2/5, and
+``--improved`` anchors the sharper sqrt term at the exact x0.  ``main``
+adds ``command`` and ``version`` and writes it to ``--json`` (``--out``
+for certify) through one JSON encoder.  An interval is written as
+``{lo, hi, lo_hex, hi_hex}``: outward-rounded decimal strings alongside
+exact hex doubles.  A rational is written as exact text ("2/5").  File
+inputs carry their sha256 hashes.  No timestamps, no environment
+capture: reruns with the same inputs are byte-identical, whatever the
+segment size.  Exit codes: 0 success, 1 usage error, 2 computation
+error (running out of memory included).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .divisor_error import scan_c
 from .euler_product import h_bound
 from .interval import Interval
 from .projection import DEFAULT_B_ASSUMED, project_table
-from .rv_bound import DEFAULT_CUTOFF_U, DEFAULT_WIDTH_TARGET, brun_upper, derive_params
+from .rv_bound import DEFAULT_WIDTH_TARGET, brun_upper, derive_params
 from .sieve import DEFAULT_SEGMENT_SIZE, TwinCensus, census
 from .tables import (
     DEFAULT_BASE_ENCLOSURE,
@@ -248,10 +252,8 @@ def _cmd_certify(args: argparse.Namespace) -> dict:
             raise ValueError(f"census tables end at {spliced.limit}, not at x0 = {args.x0}")
         pi2_x0, partial = spliced.pi2, spliced.brun_partial
 
-    params = derive_params(improved=True, x0=float(args.x0)) if args.improved \
-        else derive_params()
-    cert = brun_upper(args.x0, pi2_x0, partial, params=params, cutoff_u=args.cutoff_u,
-                      width_target=args.width_target)
+    params = derive_params(improved_at=args.x0) if args.improved else derive_params()
+    cert = brun_upper(args.x0, pi2_x0, partial, params=params, width_target=args.width_target)
     print(f"certified: {_dec_down(cert.lower)} <= B <= {_dec_up(cert.upper)}")
     print(f"quadrature pieces: {cert.quad_pieces}")
     result = _report(cert, "x0", "pi2_x0", "brun_partial_x0", "cutoff_u", "width_target")
@@ -267,7 +269,7 @@ def _cmd_certify(args: argparse.Namespace) -> dict:
 
 
 def _cmd_project(args: argparse.Namespace) -> dict:
-    rows = project_table(args.ks, b_assumed=args.b_assumed)
+    rows = project_table(args.ks)
     print(f"{'k':>4}  {'pi2_pred':>12}  {'B_pred':>10}  {'upper_pred':>10}")
     for row in rows:
         print(
@@ -278,9 +280,8 @@ def _cmd_project(args: argparse.Namespace) -> dict:
     return {
         "rigorous": False,
         "non_rigorous": True,
-        "inputs": {"ks": list(args.ks), "b_assumed": args.b_assumed},
-        # b_assumed already sits under inputs
-        "rows": [_fields(row, "b_assumed") for row in rows],
+        "inputs": {"ks": list(args.ks), "b_assumed": DEFAULT_B_ASSUMED},
+        "rows": rows,
     }
 
 
@@ -357,7 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi2", type=_positive_int, default=None)
     p.add_argument("--brun-lo", default=None)
     p.add_argument("--brun-hi", default=None)
-    p.add_argument("--cutoff-u", type=_positive_float, default=DEFAULT_CUTOFF_U)
     p.add_argument("--width-target", type=_positive_float, default=DEFAULT_WIDTH_TARGET)
     p.add_argument(
         "--improved",
@@ -369,7 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("project", help="heuristic projections (non-rigorous)")
     p.add_argument("--ks", type=_exponent_list, required=True)
-    p.add_argument("--b-assumed", type=_positive_float, default=DEFAULT_B_ASSUMED)
     p.add_argument("--json", metavar="PATH", help="write a JSON artifact")
     p.set_defaults(handler=_cmd_project)
 

@@ -20,7 +20,7 @@ from typing import Iterable, List
 import numpy as np
 
 from .interval import Interval
-from .rv_bound import QuadratureError, RVParams, brun_upper, derive_params
+from .rv_bound import QuadratureError, brun_upper
 
 __all__ = [
     "DEFAULT_B_ASSUMED",
@@ -50,7 +50,6 @@ class Projection:
     pi2_pred: float
     b_pred: float
     upper_pred: float
-    b_assumed: float
     non_rigorous: bool = True
 
     def __post_init__(self):
@@ -58,10 +57,10 @@ class Projection:
             raise ValueError("projections are never rigorous")
         if self.pi2_pred <= 0:
             raise ValueError(f"nonpositive pair count prediction: {self.pi2_pred}")
-        if not self.b_pred < self.b_assumed:
+        if not self.b_pred < DEFAULT_B_ASSUMED:
             raise ValueError(
                 f"partial sum prediction {self.b_pred} must sit below "
-                f"the assumed limit {self.b_assumed}"
+                f"the assumed limit {DEFAULT_B_ASSUMED}"
             )
 
 
@@ -84,23 +83,19 @@ def predict_pi2(x: float) -> float:
     return TWIN_C_MID * x * integral
 
 
-def predict_brun_partial(n: float, b_assumed: float = DEFAULT_B_ASSUMED) -> float:
+def predict_brun_partial(n: float) -> float:
     """Predicted partial sum at n: the assumed limit minus 2C/log n."""
     if not n > 1.0:
         raise ValueError(f"need n > 1: {n}")
-    return b_assumed - 2.0 * TWIN_C_MID / math.log(n)
+    return DEFAULT_B_ASSUMED - 2.0 * TWIN_C_MID / math.log(n)
 
 
-def project_table(
-    ks: Iterable[int],
-    b_assumed: float = DEFAULT_B_ASSUMED,
-    params: RVParams | None = None,
-) -> List[Projection]:
+def project_table(ks: Iterable[int]) -> List[Projection]:
     """Project the certified assembly onto hypothetical censuses at 10^k.
 
     For each exponent, synthesize a census from the predicted pair count
     and partial sum, run the same tail machinery a real census would get
-    (one shared parameter set, not re-optimized per threshold), and
+    (the default parameter set, not re-optimized per threshold), and
     report the resulting would-be upper bound.  Rows come back sorted by
     k; the projected bounds decrease as k grows.
     """
@@ -111,42 +106,20 @@ def project_table(
         raise ValueError(f"threshold 10^{exponents[0]} below the census floor")
     if exponents[-1] > 300:
         raise ValueError(f"threshold 10^{exponents[-1]} beyond double range")
-    if params is None:
-        params = derive_params()
     rows = []
     for k in exponents:
         x0 = 10**k
         pi2_pred = predict_pi2(float(x0))
-        b_pred = predict_brun_partial(float(x0), b_assumed)
+        b_pred = predict_brun_partial(float(x0))
         # Small thresholds put the start of the tail integral where the
         # parameter enclosures alone exceed the default width target, so
         # no mesh can reach it.  Projections are heuristic anyway: retry
         # at a multiple of the width the first attempt proved reachable.
         budget = 1 << 14
+        census = (x0, int(round(pi2_pred)), Interval.point(b_pred))
         try:
-            cert = brun_upper(
-                x0,
-                int(round(pi2_pred)),
-                Interval.point(b_pred),
-                params=params,
-                max_pieces=budget,
-            )
+            cert = brun_upper(*census, max_pieces=budget)
         except QuadratureError as exc:
-            cert = brun_upper(
-                x0,
-                int(round(pi2_pred)),
-                Interval.point(b_pred),
-                params=params,
-                width_target=4.0 * exc.achieved_width,
-                max_pieces=budget,
-            )
-        rows.append(
-            Projection(
-                k=k,
-                pi2_pred=pi2_pred,
-                b_pred=b_pred,
-                upper_pred=cert.upper,
-                b_assumed=b_assumed,
-            )
-        )
+            cert = brun_upper(*census, width_target=4.0 * exc.achieved_width, max_pieces=budget)
+        rows.append(Projection(k=k, pi2_pred=pi2_pred, b_pred=b_pred, upper_pred=cert.upper))
     return rows

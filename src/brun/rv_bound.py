@@ -53,17 +53,21 @@ __all__ = [
     "pi2_upper",
 ]
 
-#: Defaults for the three analytic inputs, as certified elsewhere in the
-#: package: the twin prime constant window, the log of the H product
-#: bound (lower end from its partial sum at 1e10, upper end from the
-#: certified tail estimate), and the divisor-error supremum at
-#: alpha = 2/5.  Each can be recomputed and passed in explicitly.
+#: The sieve exponent.  The literal constants below, and the published
+#: correction constants, hold at this alpha only.
+ALPHA = Fraction(2, 5)
+
+#: Defaults for the three analytic inputs at alpha = 2/5, as certified
+#: elsewhere in the package: the twin prime constant window, the log of
+#: the H product bound (lower end from its partial sum at 1e10, upper end
+#: from the certified tail estimate), and the divisor-error supremum.
+#: Each can be recomputed and passed in explicitly.
 DEFAULT_TWIN_C = Interval(1.320323, 1.320324)
 DEFAULT_H_LOG = Interval(6.8509190276, 6.8565069)
 DEFAULT_SCAN_BOUND = Interval(1.0502, 1.0503)
 
-#: Default end of the quadrature range in log coordinates and default
-#: width cap of the quadrature enclosure in ``brun_upper``.
+#: End of the quadrature range in log coordinates and default width cap
+#: of the quadrature enclosure in ``brun_upper``.
 DEFAULT_CUTOFF_U = 20000.0
 DEFAULT_WIDTH_TARGET = 1e-6
 #: Default piece budget of every quadrature: an unreachable width target
@@ -86,7 +90,7 @@ class RVParams:
     a8: Interval
     a9: Interval
     sqrt_coefficient: Interval
-    sqrt_valid_from: float
+    sqrt_valid_from: int
 
 
 def _default_rho() -> Interval:
@@ -96,30 +100,29 @@ def _default_rho() -> Interval:
 
 
 def derive_params(
-    alpha: Fraction = Fraction(2, 5),
+    *,
     twin_c: Optional[Interval] = None,
     h: Optional[Interval] = None,
     scan_bound: Optional[Interval] = None,
-    improved: bool = False,
-    x0: Optional[float] = None,
+    improved_at: Optional[int] = None,
 ) -> RVParams:
-    """Assemble the correction constants for the counting bound.
+    """Assemble the correction constants for the counting bound at alpha = 2/5.
 
-    With all arguments defaulted this reproduces the published constant
-    set at alpha = 2/5:
+    ``twin_c``, ``h`` and ``scan_bound`` are enclosures of C, H and the
+    divisor-error constant c at alpha = 2/5; each defaults to its
+    literal.  With all arguments defaulted this reproduces the published
+    constant set:
 
         a6 = 9.27436 - 2 log rho
         a7 = -5.6646 + log^2 rho - 9.2744 log rho
         a8 = 16 C c H rho^(alpha/2)
         a9 = 24.09391 sqrt(rho)        kappa = 2
 
-    The ``improved`` variant sharpens the sqrt term: kappa becomes
+    ``improved_at`` (an int x0) selects the improved variant, which
+    sharpens the sqrt term: kappa becomes
     x0^(-1/2) + 5.03 / (sqrt(rho) log(x0/rho)), valid only for x >= x0,
     and a9 drops to 19.638 sqrt(rho).
     """
-    alpha = Fraction(alpha)
-    if not 0 < alpha < Fraction(1, 2):
-        raise ValueError(f"alpha out of range (0, 1/2): {alpha}")
     if twin_c is None:
         twin_c = DEFAULT_TWIN_C
     if h is None:
@@ -135,27 +138,25 @@ def derive_params(
         + log_rho * log_rho
         - Interval.from_decimal(Decimal("9.2744")) * log_rho
     )
-    half_alpha = alpha / 2
+    half_alpha = ALPHA / 2
     a8 = 16 * twin_c * scan_bound * h * rational_pow(
         rho, half_alpha.numerator, half_alpha.denominator
     )
-    if improved:
-        if x0 is None:
-            raise ValueError("improved sqrt coefficient needs its anchor x0")
-        x0_iv = Interval.point(float(x0))
+    if improved_at is None:
+        a9 = Interval.from_decimal(Decimal("24.09391")) * rho.sqrt()
+        kappa = Interval(2.0, 2.0)
+        valid_from = 2
+    else:
+        x0_iv = Interval.from_int(improved_at)
         if x0_iv.lo <= rho.hi:
-            raise ValueError(f"x0 too small for the improved variant: {x0}")
+            raise ValueError(f"anchor too small for the improved variant: {improved_at}")
         a9 = Interval.from_decimal(Decimal("19.638")) * rho.sqrt()
         kappa = rational_pow(x0_iv, -1, 2) + Interval.from_decimal(
             Decimal("5.03")
         ) / (rho.sqrt() * (x0_iv / rho).log())
-        valid_from = float(x0)
-    else:
-        a9 = Interval.from_decimal(Decimal("24.09391")) * rho.sqrt()
-        kappa = Interval(2.0, 2.0)
-        valid_from = 2.0
+        valid_from = improved_at
     return RVParams(
-        alpha=alpha,
+        alpha=ALPHA,
         rho=rho,
         twin_c=twin_c,
         h=h,
@@ -169,7 +170,7 @@ def derive_params(
     )
 
 
-def idealized_params(twin_c: Optional[Interval] = None) -> RVParams:
+def idealized_params() -> RVParams:
     """First-order parameter set: corrections and the sqrt term dropped.
 
     Keeps only the leading constant of the counting bound (a6 as the
@@ -178,7 +179,7 @@ def idealized_params(twin_c: Optional[Interval] = None) -> RVParams:
     """
     zero = Interval(0.0, 0.0)
     return replace(
-        derive_params(twin_c=twin_c),
+        derive_params(),
         rho=Interval(1.0, 1.0),
         a6=Interval.from_decimal(Decimal("9.27436")),
         a7=zero,
@@ -449,7 +450,6 @@ def brun_upper(
     pi2_x0: int,
     brun_partial_x0: Interval,
     params: Optional[RVParams] = None,
-    cutoff_u: float = DEFAULT_CUTOFF_U,
     width_target: float = DEFAULT_WIDTH_TARGET,
     max_pieces: int = DEFAULT_MAX_PIECES,
 ) -> BoundCertificate:
@@ -458,11 +458,11 @@ def brun_upper(
     Inputs: an exact pair count and a certified, finite partial sum
     enclosure at x0.  The tail beyond x0 is bounded by the corrected
     counting bound through partial summation; the 16 C scaled integral
-    runs in log coordinates from log x0 to ``cutoff_u``, after which
-    F >= 0 leaves the closed tail 1/cutoff_u.  ``width_target`` caps the
-    quadrature enclosure width as it enters the certificate (default one
-    digit beyond a six-decimal bound); the other terms are exact-input
-    interval evaluations.
+    runs in log coordinates from log x0 to ``DEFAULT_CUTOFF_U``, after
+    which F >= 0 leaves the closed tail 1/DEFAULT_CUTOFF_U.
+    ``width_target`` caps the quadrature enclosure width as it enters
+    the certificate (default one digit beyond a six-decimal bound); the
+    other terms are exact-input interval evaluations.
     """
     if params is None:
         params = derive_params()
@@ -472,23 +472,21 @@ def brun_upper(
         raise ValueError(f"negative pair count: {pi2_x0}")
     if not (math.isfinite(brun_partial_x0.lo) and math.isfinite(brun_partial_x0.hi)):
         raise ValueError(f"partial sum enclosure must be finite: {brun_partial_x0}")
-    if float(x0) < params.sqrt_valid_from:
+    if x0 < params.sqrt_valid_from:
         raise ValueError(
             f"x0 below the sqrt coefficient validity floor "
             f"{params.sqrt_valid_from}"
         )
-    u0 = Interval.from_int(x0).log()
-    if not u0.hi < cutoff_u:
-        raise ValueError(f"cutoff_u must exceed log x0 = {u0.hi}")
-
+    # float(x0) is finite (or from_int raises), so log x0 < 710 < cutoff
     quad = integrate_adaptive(
         correction_piece(params),
-        u0.lo,  # starting below the true log x0 only widens the enclosure
-        cutoff_u,
+        # starting below the true log x0 only widens the enclosure
+        Interval.from_int(x0).log().lo,
+        DEFAULT_CUTOFF_U,
         width_target,
         max_pieces,
     )
-    tail = 1 / Interval.point(cutoff_u)
+    tail = 1 / Interval.point(DEFAULT_CUTOFF_U)
     pair_term = Interval.from_int(2 * pi2_x0) / Interval.from_int(x0)
     sqrt_tail = 4 * params.sqrt_coefficient * rational_pow(
         Interval.from_int(x0), -1, 2
@@ -505,7 +503,7 @@ def brun_upper(
         pi2_x0=pi2_x0,
         brun_partial_x0=brun_partial_x0,
         params=params,
-        cutoff_u=cutoff_u,
+        cutoff_u=DEFAULT_CUTOFF_U,
         width_target=width_target,
         quad_pieces=quad.pieces,
         integral=quad.value,

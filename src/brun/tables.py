@@ -4,9 +4,10 @@ A census table is a text file of lines
 
     <k>d<n>  <pi2>  [<prediction>]
 
-where ``<k>d<n>`` names the threshold k * 10^n, ``<pi2>`` is the exact
-number of twin pairs up to that threshold, and an optional third column
-(a predicted count) is checked to be a finite decimal and discarded.
+where ``<k>d<n>`` names the threshold k * 10^n with n <= 308 (10^309
+exceeds every double), ``<pi2>`` is the exact number of twin pairs up to
+that threshold, and an optional third column (a predicted count) is
+checked to be a finite decimal and discarded.
 
 Counts at two thresholds brace the partial sum growth between them: every
 pair (p, p+2) with t1 < p <= t2 contributes between 2/(t2+2) and 2/t1.
@@ -49,8 +50,12 @@ __all__ = [
 DEFAULT_BASE_THRESHOLD = 10**12
 DEFAULT_BASE_ENCLOSURE = Interval(1.8065924, 1.8065925)
 
+#: Largest threshold exponent a row may name: no double x0 lies beyond
+#: 10^308, and a row past it is rejected before its power is formed.
+_MAX_EXPONENT = 308
+
 _LINE = re.compile(
-    r"^(?P<k>\d+)d(?P<n>\d+)\s+(?P<pi2>\d+)"
+    r"^(?P<k>\d+)d(?P<n>\d{1,3})\s+(?P<pi2>\d+)"
     r"(?:\s+(?P<pred>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?))?\s*$"
 )
 
@@ -79,7 +84,11 @@ def parse_table(text: str) -> list:
         if not line or line.startswith("#"):
             continue
         m = _LINE.match(line)
-        if m is None or not math.isfinite(float(m["pred"] or 0)):  # 1e999 parses as inf
+        if (
+            m is None
+            or int(m["n"]) > _MAX_EXPONENT
+            or not math.isfinite(float(m["pred"] or 0))  # 1e999 parses as inf
+        ):
             raise ValueError(f"line {number}: malformed census table line: {line!r}")
         entries.append(CensusTableEntry(int(m["k"]), int(m["n"]), int(m["pi2"])))
     return entries

@@ -86,9 +86,13 @@ class TestUsage:
         assert main(["certify", "--x0", "inf"]) == 1
         assert main(["scan-c", "--alpha", "abc"]) == 1
         assert main(["project", "--ks", "a,b"]) == 1
-        assert main(CERTIFY_NUMERIC + ["--cutoff-u", "inf"]) == 1
         assert main(CERTIFY_NUMERIC + ["--width-target", "inf"]) == 1
-        assert main(["project", "--ks", "19", "--b-assumed", "inf"]) == 1
+
+    def test_retired_options_are_usage_errors(self, capsys):
+        # the tail cutoff and the projection's assumed limit are constants
+        assert main(CERTIFY_NUMERIC + ["--cutoff-u", "40"]) == 1
+        assert main(["project", "--ks", "19", "--b-assumed", "1.5"]) == 1
+        assert capsys.readouterr().err.count("unrecognized arguments") == 2
 
     def test_out_of_memory_is_computation_error(self, monkeypatch, capsys):
         def exhausted(alpha, xmax):
@@ -116,8 +120,8 @@ class TestArtifacts:
          "579c1668946ea6b6bfa9b5923eaa16df475f81cc26456557f18e8e7f48ed2e03"),
         (CERTIFY_TABLES, "--out",
          "5b2a8a251e0961b428f0752c4086e8ec3501121953c086f52a813c2441baa99c"),
-        # the two artifacts that drop a report field: the rows' b_assumed
-        # and the params' sqrt_valid_from
+        # project writes a constant, b_assumed, under inputs; the improved
+        # certify drops a report field, the params' sqrt_valid_from
         (["project", "--ks", "19,20"], "--json",
          "39cb1a4ffb8ce380af1663b68f42a3043710ef1d98fb9d2a4b5417d5ec423317"),
         (CERTIFY_NUMERIC + ["--improved"], "--out",
@@ -446,9 +450,10 @@ class TestCertify:
         assert "censused partial sum" in capsys.readouterr().err
 
     def test_computation_error_exit(self, capsys):
-        rc = main(CERTIFY_NUMERIC + ["--cutoff-u", "40"])
+        rc = main(["certify", "--x0", "1e5", "--pi2", "1224",
+                   "--brun-lo", "1.6", "--brun-hi", "1.7"])
         assert rc == 2
-        assert "cutoff_u" in capsys.readouterr().err
+        assert "x0 too small" in capsys.readouterr().err
 
     def test_improved_flag(self, tmp_path):
         out = tmp_path / "cert.json"

@@ -114,11 +114,6 @@ class TestProjectTable:
         assert 2.3 < row.upper_pred < 3.0
         assert row.b_pred < row.upper_pred
 
-    def test_assumed_value_shifts_upper(self):
-        base = project_table([19])[0]
-        shifted = project_table([19], b_assumed=DEFAULT_B_ASSUMED + 1e-3)[0]
-        assert 0.0009 <= shifted.upper_pred - base.upper_pred <= 0.0011
-
     def test_validation(self):
         with pytest.raises(ValueError):
             project_table([])
@@ -131,17 +126,11 @@ class TestProjectTable:
 class TestProjectionType:
     def test_flag_is_permanent(self):
         with pytest.raises(ValueError):
-            Projection(
-                k=19,
-                pi2_pred=1.0,
-                b_pred=1.8,
-                upper_pred=2.3,
-                b_assumed=1.9,
-                non_rigorous=False,
-            )
+            Projection(k=19, pi2_pred=1.0, b_pred=1.8, upper_pred=2.3, non_rigorous=False)
 
     def test_invariants(self):
         with pytest.raises(ValueError):
-            Projection(k=19, pi2_pred=0.0, b_pred=1.8, upper_pred=2.3, b_assumed=1.9)
+            Projection(k=19, pi2_pred=0.0, b_pred=1.8, upper_pred=2.3)
+        # the partial sum must sit below the assumed limit DEFAULT_B_ASSUMED
         with pytest.raises(ValueError):
-            Projection(k=19, pi2_pred=1.0, b_pred=1.95, upper_pred=2.3, b_assumed=1.9)
+            Projection(k=19, pi2_pred=1.0, b_pred=1.95, upper_pred=2.3)

@@ -3,16 +3,19 @@
 import math
 import random
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from brun import rv_bound
 from brun.divisor_error import scan_c
-from brun.euler_product import twin_constant
+from brun.euler_product import h_bound, twin_constant
 from brun.interval import Interval
 from brun.rv_bound import (
+    DEFAULT_H_LOG,
     DEFAULT_SCAN_BOUND,
     DEFAULT_TWIN_C,
     QuadratureError,
@@ -82,28 +85,45 @@ class TestDeriveParams:
     def test_standard_sqrt_coefficient(self):
         p = derive_params()
         assert p.sqrt_coefficient == Interval(2.0, 2.0)
-        assert p.sqrt_valid_from == 2.0
+        assert p.sqrt_valid_from == 2
 
     def test_improved_variant(self):
-        p = derive_params(improved=True, x0=float(X0))
+        p = derive_params(improved_at=X0)
         assert contains(p.a9, A9_IMPROVED)
         assert contains(p.sqrt_coefficient, KAPPA_IMPROVED)
         assert p.sqrt_coefficient.width < 1e-15
-        assert p.sqrt_valid_from == float(X0)
+        assert p.sqrt_valid_from == X0
 
     def test_improved_needs_anchor(self):
+        # the anchor must lie above rho, where log(x0/rho) > 0
         with pytest.raises(ValueError):
-            derive_params(improved=True)
-        with pytest.raises(ValueError):
-            derive_params(improved=True, x0=1.0)
+            derive_params(improved_at=1)
 
-    def test_alpha_domain(self):
-        with pytest.raises(ValueError):
-            derive_params(alpha=Fraction(1, 2))
-        with pytest.raises(ValueError):
-            derive_params(alpha=Fraction(0))
-        with pytest.raises(ValueError):
-            derive_params(alpha=Fraction(-1, 5))
+    def test_improved_anchor_is_enclosed(self):
+        # 4e18 + 300 is no double: the nearest one, 4e18 + 512, lies above it
+        x0 = X0 + 300
+        p = derive_params(improved_at=x0)
+        assert p.sqrt_valid_from == x0
+        with mpmath.workdps(40):
+            rho = mpmath.sqrt(1 + mpmath.mpf(2) / 3 * mpmath.sqrt(mpmath.mpf(6) / 5))
+            kappa = 1 / mpmath.sqrt(x0) + mpmath.mpf("5.03") / (
+                mpmath.sqrt(rho) * mpmath.log(x0 / rho)
+            )
+            assert p.sqrt_coefficient.lo <= kappa <= p.sqrt_coefficient.hi
+        brun_upper(x0, PI2_X0, PARTIAL_X0, params=p)
+        # one below the anchor rounds to the same double, but kappa does not hold there
+        with pytest.raises(ValueError, match="validity floor"):
+            brun_upper(x0 - 1, PI2_X0, PARTIAL_X0, params=p)
+        with pytest.raises(ValueError, match="validity floor"):
+            pi2_upper(Interval.from_int(x0 - 1), p)
+
+    def test_alpha_is_fixed(self):
+        # the literal constants hold at alpha = 2/5 only, so it is no input
+        assert derive_params().alpha == Fraction(2, 5)
+        with pytest.raises(TypeError):
+            derive_params(alpha=Fraction(5, 12))
+        with pytest.raises(TypeError):
+            derive_params(Fraction(5, 12))
 
     def test_explicit_inputs_propagate(self):
         wide = derive_params(h=Interval(940.0, 960.0))
@@ -114,6 +134,9 @@ class TestDeriveParams:
         # the default windows must hold what the package itself certifies
         assert twin_constant(10**7).issubset(DEFAULT_TWIN_C)
         assert scan_c(Fraction(2, 5), 10**6).bound.issubset(DEFAULT_SCAN_BOUND)
+        # the computed log H is still the wider one (two-sided tails would
+        # let the literal hold the computed enclosure instead)
+        assert DEFAULT_H_LOG.issubset(h_bound(10**6, Fraction(2, 5)).log_bound)
 
     def test_idealized(self):
         p = idealized_params()
@@ -163,7 +186,7 @@ PARAM_SETS = pytest.mark.parametrize(
     "make_params",
     [
         derive_params,
-        lambda: derive_params(improved=True, x0=float(X0)),
+        lambda: derive_params(improved_at=X0),
         idealized_params,
     ],
     ids=["default", "improved", "idealized"],
@@ -238,7 +261,7 @@ class TestFloatKernel:
     def test_piece_needs_positive_scale(self):
         # the kernel names each product's corner from C > 0
         with pytest.raises(ValueError):
-            correction_piece(idealized_params(twin_c=Interval(-1.0, 1.0)))
+            correction_piece(replace(idealized_params(), twin_c=Interval(-1.0, 1.0)))
 
     @PARAM_SETS
     def test_piece_bits(self, make_params):
@@ -282,13 +305,11 @@ class TestPi2Upper:
 
     def test_improved_is_sharper_at_anchor(self):
         std = pi2_upper(Interval.from_int(X0), derive_params())
-        imp = pi2_upper(
-            Interval.from_int(X0), derive_params(improved=True, x0=float(X0))
-        )
+        imp = pi2_upper(Interval.from_int(X0), derive_params(improved_at=X0))
         assert imp.hi < std.hi
 
     def test_validity_floor(self):
-        imp = derive_params(improved=True, x0=float(X0))
+        imp = derive_params(improved_at=X0)
         with pytest.raises(ValueError):
             pi2_upper(Interval.point(1e9), imp)
 
@@ -388,7 +409,7 @@ class TestBrunUpper:
                 4690,
             ),
             (
-                lambda: derive_params(improved=True, x0=float(X0)),
+                lambda: derive_params(improved_at=X0),
                 "0x1.24edfc6e91eb3p+1",
                 ("0x1.cb36466a6132bp-2", "0x1.cb368985cfb52p-2"),
                 4690,
@@ -432,7 +453,7 @@ class TestBrunUpper:
         assert abs(Decimal(cert.upper) - UPPER_IDEAL) < Decimal("1e-9")
 
     def test_improved_reference(self):
-        params = derive_params(improved=True, x0=float(X0))
+        params = derive_params(improved_at=X0)
         cert = brun_upper(X0, PI2_X0, PARTIAL_X0, params=params)
         assert UPPER_IMPROVED - Decimal("1e-12") <= Decimal(cert.upper)
         assert Decimal(cert.upper) <= UPPER_IMPROVED + Decimal("1e-6")
@@ -447,9 +468,7 @@ class TestBrunUpper:
             brun_upper(10**5, 1224, Interval(1.6, 1.7))
         with pytest.raises(ValueError):
             brun_upper(X0, -1, PARTIAL_X0)
-        with pytest.raises(ValueError):
-            brun_upper(X0, PI2_X0, PARTIAL_X0, cutoff_u=40.0)
-        anchored = derive_params(improved=True, x0=1e19)
+        anchored = derive_params(improved_at=10**19)
         with pytest.raises(ValueError):
             brun_upper(X0, PI2_X0, PARTIAL_X0, params=anchored)
 

@@ -1,6 +1,7 @@
 """Census tables: parsing, the step bracket, and chained extension."""
 
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +42,20 @@ class TestParsing:
         for bad in bad_lines + ["3d4 5 1e999", "3d4 5 -1e999"]:
             with pytest.raises(ValueError, match="malformed census table line"):
                 parse_table(bad)[0]
+
+    def test_threshold_exponent_bounded(self):
+        # no double lies beyond 10^308, and a longer exponent is never expanded
+        assert parse_table("1d308  5")[0].threshold == 10**308
+        for bad in ["1d309  5", "1d999  5", "1d30000000  5", "1d" + "9" * 5000 + "  5"]:
+            with pytest.raises(ValueError, match="line 1: malformed census table line"):
+                parse_table(bad)
+
+    def test_unbounded_exponent_fails_fast(self, tmp_path):
+        (tmp_path / "rows.txt").write_text("1d6  8169\n1d30000000  5\n")
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"rows\.txt, line 2: malformed"):
+            load_table_dir(tmp_path)
+        assert time.perf_counter() - start < 1.0
 
     def test_prediction_forms(self):
         # the third column is checked, then dropped: the row is the two-column row
