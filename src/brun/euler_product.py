@@ -12,12 +12,13 @@ multiplier of the twin sieve, supported on cube-free numbers:
 for odd primes p, and g(p^k) = 0 for k >= 4.  H factors over primes, so
 log H = sum_p log(1 + |g(p)| p^alpha + |g(p^2)| p^(2 alpha) +
 |g(p^3)| p^(3 alpha)).  The sum over p <= cutoff is evaluated directly:
-float64 terms per sieve segment, one correctly rounded sum per segment
-(by error-free extraction, the same bits as math.fsum), the segment sums
-added exactly as rationals, and the total padded by a blanket relative
-error bound and rounded outward once.  The tail over p > cutoff is bounded
-through partial summation against an explicit Chebyshev-type bound on
-pi(t), which turns it into a first term plus an exponential integral.
+float64 terms per sieve segment, split by error-free extraction into parts
+whose sum is exact, every part added exactly as a rational, and the total
+padded by a blanket relative error bound and rounded outward once.  Nothing
+is rounded per segment, so the bits do not depend on the segment size.  The
+tail over p > cutoff is bounded through partial summation against an
+explicit Chebyshev-type bound on pi(t), which turns it into a first term
+plus an exponential integral.
 
 The second product is the twin prime constant
 C = 2 prod_{p > 2} (1 - 1/(p-1)^2), enclosed the same way: certified
@@ -33,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .interval import Interval, _frac_bracket, ei_neg, rational_pow
-from .sieve import _Segment, _sieved_segments
+from .sieve import DEFAULT_SEGMENT_SIZE, _Segment, _sieved_segments
 
 __all__ = [
     "HBoundReport",
@@ -46,12 +47,6 @@ __all__ = [
 #: Chebyshev-type upper bound pi(t) <= (1 + 1.2762/log t) t/log t holds
 #: from here on; tail estimates refuse smaller cutoffs.
 _PI_BOUND_FLOOR = 599
-
-# unlike the census's segment size, this one is part of the output bits
-# of h_bound and twin_constant, which round each segment's terms to one
-# sum: at cutoff 1e8, h_bound's log_bound.lo is 0x1.b5be473e30996p+2 at
-# 2^24 but 0x1.b5be473e30995p+2 at 2^22 or 2^23.
-_S1_SEGMENT = 1 << 24
 
 # blanket relative error bound for one float64 log term against its
 # true value, relative to the computed term: the worst h term tallies
@@ -115,17 +110,17 @@ def g_factor_log(p: int, s: Fraction) -> Interval:
     return total.log1p()
 
 
-def _segment_sum(arrays) -> float:
-    """math.fsum over all elements of the float64 ``arrays``, bit for bit.
+def _segment_sum(arrays) -> list:
+    """Floats whose exact sum is the exact sum of the float64 ``arrays``.
 
     Error-free extraction (ExtractVector in Rump, Ogita and Oishi, "Accurate
     floating-point summation part I: faithful rounding", SIAM J. Sci. Comput.
     31(1), 2008): for n terms r, |r| < 2^e, and sigma = 2^(e + bitlen(n+1)),
     q = (r + sigma) - sigma and r - q are exact and q sums exactly in any
-    order.  Blocks of 2^15 are copied to scratch and extracted to zero; one
-    fsum rounds the block sums; a non-finite term or sigma raises ValueError.
+    order.  Blocks of 2^15 are copied to scratch and extracted to zero, each
+    level's q.sum() one part; a non-finite term or sigma raises ValueError.
     """
-    rs, qs, levels = np.empty(1 << 15), np.empty(1 << 15), []
+    rs, qs, parts = np.empty(1 << 15), np.empty(1 << 15), []
     for a in arrays:
         for i in range(0, len(a), len(rs)):
             r, q = rs[: len(a) - i], qs[: len(a) - i]
@@ -137,9 +132,9 @@ def _segment_sum(arrays) -> float:
                 sigma = math.ldexp(1.0, k)
                 np.subtract(np.add(r, sigma, out=q), sigma, out=q)
                 np.subtract(r, q, out=r)
-                levels.append(float(q.sum()))
+                parts.append(float(q.sum()))
         del a  # free each terms array before the next is computed
-    return math.fsum(levels)
+    return parts
 
 
 def _log_sum(cutoff: int, terms) -> tuple:
@@ -147,23 +142,21 @@ def _log_sum(cutoff: int, terms) -> tuple:
 
     ``terms`` maps an array of odd primes, as float64, to float64 terms y,
     all of one sign, each within eps |y| of its true value, eps = _VEC_PAD.
-    It sees one class array of a segment's ``members()`` at a time; one
-    ``_segment_sum`` per segment rounds their exact sum correctly (and
-    raises on a NaN term), so the order of the classes cannot change a bit.
+    It sees one class array of a segment's ``members()`` at a time; the
+    ``_segment_sum`` parts of every segment are added exactly, so neither
+    the segment size nor the order of the classes can change a bit (and a
+    NaN term raises).
     """
-    # T is the true sum, Y the sum of the float terms y, S the exact sum
-    # of the segment sums s_b.  Each s_b is its segment's Y_b rounded
-    # once, so |s_b - Y_b| <= u |s_b| with u = 2^-53.  The terms of one
-    # product share a sign (h terms are log1p of a positive number, twin
-    # terms log1p(-1/(p-1)^2) < 0), so sum |y| = |Y| and sum |s_b| = |S|:
-    # |Y - S| <= u |S| and |T - Y| <= eps |Y| <= eps (1 + u) |S|.
+    # T is the true sum and Y the exact sum of the float terms y.  The
+    # terms of one product share a sign (h terms are log1p of a positive
+    # number, twin terms log1p(-1/(p-1)^2) < 0), so sum |y| = |Y| and
+    # |T - Y| <= eps |Y|.
     pi_cutoff = 1 if cutoff >= 2 else 0  # the prime 2
     total = Fraction(0)
-    for parts in map(_Segment.members, _sieved_segments(cutoff, _S1_SEGMENT)):
+    for parts in map(_Segment.members, _sieved_segments(cutoff, DEFAULT_SEGMENT_SIZE)):
         pi_cutoff += sum(map(len, parts))
-        total += Fraction(_segment_sum(terms(p.astype(np.float64)) for p in parts))
-    u = Fraction(1, 1 << 53)
-    pad = (Fraction(_VEC_PAD) * (1 + u) + u) * abs(total)
+        total += sum(map(Fraction, _segment_sum(terms(p.astype(np.float64)) for p in parts)))
+    pad = Fraction(_VEC_PAD) * abs(total)
     return _frac_bracket(total - pad, total + pad), pi_cutoff
 
 

@@ -4,10 +4,11 @@ A census table is a text file of lines
 
     <k>d<n>  <pi2>  [<prediction>]
 
-where ``<k>d<n>`` names the threshold k * 10^n with n <= 308 (10^309
-exceeds every double), ``<pi2>`` is the exact number of twin pairs up to
-that threshold, and an optional third column (a predicted count) is
-checked to be a finite decimal and discarded.
+where ``<k>d<n>`` names the threshold k * 10^n, of at most 309 digits
+(10^309 exceeds every double), ``<pi2>`` is the exact number of twin pairs
+up to that threshold, of no more digits than the threshold, and an optional
+third column (a predicted count) is checked to be a finite decimal and
+discarded.  Both sizes are checked on the digits, before any is converted.
 
 Counts at two thresholds brace the partial sum growth between them: every
 pair (p, p+2) with t1 < p <= t2 contributes between 2/(t2+2) and 2/t1.
@@ -50,9 +51,9 @@ __all__ = [
 DEFAULT_BASE_THRESHOLD = 10**12
 DEFAULT_BASE_ENCLOSURE = Interval(1.8065924, 1.8065925)
 
-#: Largest threshold exponent a row may name: no double x0 lies beyond
-#: 10^308, and a row past it is rejected before its power is formed.
-_MAX_EXPONENT = 308
+#: Most digits a row's threshold may have: no double x0 lies beyond
+#: 10^308, and a row past it is rejected before any number is formed.
+_MAX_DIGITS = 309
 
 _LINE = re.compile(
     r"^(?P<k>\d+)d(?P<n>\d{1,3})\s+(?P<pi2>\d+)"
@@ -83,14 +84,17 @@ def parse_table(text: str) -> list:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = _LINE.match(line)
+        if m := _LINE.match(line):
+            k, n, pi2, pred = m.groups()
+            digits = len(k.lstrip("0")) + int(n)  # of the threshold, if k > 0
         if (
             m is None
-            or int(m["n"]) > _MAX_EXPONENT
-            or not math.isfinite(float(m["pred"] or 0))  # 1e999 parses as inf
+            or digits > _MAX_DIGITS
+            or len(pi2.lstrip("0")) > digits  # pi2(x) <= x
+            or not math.isfinite(float(pred or 0))  # 1e999 parses as inf
         ):
             raise ValueError(f"line {number}: malformed census table line: {line!r}")
-        entries.append(CensusTableEntry(int(m["k"]), int(m["n"]), int(m["pi2"])))
+        entries.append(CensusTableEntry(int(k), int(n), int(pi2)))
     return entries
 
 

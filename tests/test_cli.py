@@ -115,7 +115,7 @@ class TestArtifacts:
         (["scan-c", "--alpha", "2/5", "--xmax", "2000"], "--json",
          "e23a84b5cbd887c4e51b9bd28b4a435ccd310d031b50c1c73d977114fdfc2db5"),
         (["h-bound", "--cutoff", "1e5"], "--json",
-         "e74a44d9942097518a596fe4da3477162af3db17f62efff878a613190c69938d"),
+         "cc416a4c35ba2adbf26bf49e5f2232334d744b503a01277c36c92aa8c0f6dffa"),
         (CERTIFY_NUMERIC, "--out",
          "579c1668946ea6b6bfa9b5923eaa16df475f81cc26456557f18e8e7f48ed2e03"),
         (CERTIFY_TABLES, "--out",

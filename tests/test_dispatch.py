@@ -46,16 +46,16 @@ print(json.dumps({
 """
 
 PINS = {
-    "partial_log_sum": ["0x1.b368c4754023dp+2", "0x1.b368c475402a2p+2"],
-    "h": ["0x1.c264d02fed2b2p+9", "0x1.dbd6b66a8bf2cp+9"],
+    "partial_log_sum": ["0x1.b368c4754023dp+2", "0x1.b368c475402a1p+2"],
+    "h": ["0x1.c264d02fed2b2p+9", "0x1.dbd6b66a8bf24p+9"],
     "twin_constant": ["0x1.5200ba7efc024p+0", "0x1.5200bc42998aep+0"],
     "scanned": ["0x1.5ae021eb6d793p-1", "0x1.7dfef9da61be7p-1"],
     "bound": ["0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"],
     "pi_cutoff_1e8": 5761455,
-    "partial_log_sum_1e8": ["0x1.b5be473e30996p+2", "0x1.b5be473e309fcp+2"],
-    "log_bound_1e8": ["0x1.b5be473e30996p+2", "0x1.b6d5b93b5b56cp+2"],
-    "h_1e8": ["0x1.d31f5a982e312p+9", "0x1.db28757eaac7bp+9"],
-    "twin_constant_1e8": ["0x1.5200bac1df089p+0", "0x1.5200bac530059p+0"],
+    "partial_log_sum_1e8": ["0x1.b5be473e30997p+2", "0x1.b5be473e309fbp+2"],
+    "log_bound_1e8": ["0x1.b5be473e30997p+2", "0x1.b6d5b93b5b56bp+2"],
+    "h_1e8": ["0x1.d31f5a982e31ap+9", "0x1.db28757eaac73p+9"],
+    "twin_constant_1e8": ["0x1.5200bac1df08ap+0", "0x1.5200bac530059p+0"],
 }
 
 

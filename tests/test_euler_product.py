@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brun import euler_product, sieve
@@ -134,13 +134,13 @@ class TestPrimeBlocks:
 
     def test_short_segments(self, monkeypatch):
         for segment in (2, 7, 30):
-            monkeypatch.setattr(euler_product, "_S1_SEGMENT", segment)
+            monkeypatch.setattr(euler_product, "DEFAULT_SEGMENT_SIZE", segment)
             for cutoff in range(401):
                 self.check(cutoff, *self.fold(cutoff))
 
     def test_class_order_leaves_bits(self, monkeypatch):
-        # one _segment_sum per segment rounds the exact sum of all its terms,
-        # so the order in which members() hands over the classes cannot matter
+        # every part of every segment is added exactly, so the order in which
+        # members() hands over the classes cannot matter
         members, seen = sieve._Segment.members, []
 
         def reversed_members(segment):
@@ -149,8 +149,16 @@ class TestPrimeBlocks:
 
         monkeypatch.setattr(sieve._Segment, "members", reversed_members)
         report = h_bound(10**6, Fraction(2, 5))
-        assert hex_ends(report.partial_log_sum) == ("0x1.b368c4754023dp+2", "0x1.b368c475402a2p+2")
-        assert hex_ends(report.h) == ("0x1.c264d02fed2b2p+9", "0x1.dbd6b66a8bf2cp+9")
+        assert_pinned(
+            report.partial_log_sum,
+            ("0x1.b368c4754023dp+2", "0x1.b368c475402a1p+2"),
+            ("0x1.b368c4754023dp+2", "0x1.b368c475402a2p+2"),
+        )
+        assert_pinned(
+            report.h,
+            ("0x1.c264d02fed2b2p+9", "0x1.dbd6b66a8bf24p+9"),
+            ("0x1.c264d02fed2b2p+9", "0x1.dbd6b66a8bf2cp+9"),
+        )
         assert hex_ends(twin_constant(10**6)) == ("0x1.5200ba7efc024p+0", "0x1.5200bc42998aep+0")
         assert seen == [3, 3]
 
@@ -178,39 +186,35 @@ def term_arrays(draw):
     return x
 
 
+def exact_sum(arrays) -> Fraction:
+    """The exact sum of the float64 ``arrays``, added in units of 2^-1074."""
+    units = 0
+    for x in np.concatenate([np.empty(0), *arrays]).tolist():
+        n, d = x.as_integer_ratio()  # d = 2^k with k <= 1074
+        units += n << (1075 - d.bit_length())
+    return Fraction(units, 1 << 1074)
+
+
 class TestSegmentSum:
-    """``_segment_sum`` has the bits of math.fsum over the arrays joined."""
+    """The parts ``_segment_sum`` returns add up to the arrays' exact sum."""
 
     @staticmethod
     def check(*arrays):
         kept = [a.copy() for a in arrays]
-        got = _segment_sum(iter(arrays))
-        want = math.fsum(np.concatenate([np.empty(0), *arrays]).tolist())
-        assert got.hex() == want.hex()
+        parts = _segment_sum(iter(arrays))
+        assert all(math.isfinite(x) for x in parts)
+        assert sum(map(Fraction, parts)) == exact_sum(arrays)
         for a, b in zip(arrays, kept):
             assert np.array_equal(a, b)  # the caller's arrays are not written
 
     @given(st.lists(term_arrays(), min_size=1, max_size=3))
+    @example([np.array([2.0**600, 1.0, -(2.0**600), 2.0**-1074])])  # fsum drops the last
     @settings(max_examples=150, deadline=None)
-    def test_is_fsum(self, arrays):
+    def test_parts_are_exact(self, arrays):
         self.check(*arrays)
 
-    def test_half_ulp_ties(self):
-        u = 2.0**-53
-        for terms in (
-            [1.0, u],  # a tie, to even: 1.0
-            [1.0, u, u * u],  # just above the tie: 1 + 2u
-            [1.0, u, -u * u],  # just below it: 1.0
-            [1.0 + 2 * u, u],  # a tie, to even: 1 + 4u
-            [2.0**600, 1.0, -(2.0**600), 2.0**-1074],
-        ):
-            self.check(np.array(terms))
-            self.check(*(np.array([t]) for t in terms))
-        # over two blocks: 2^15 + (2^15 + 1) 2^-38 lies halfway between doubles
-        self.check(np.array([2.0**15]), np.full(BLOCK + 1, 2.0**-38))
-
     def test_empty(self):
-        assert _segment_sum(iter([])).hex() == (0.0).hex()
+        assert _segment_sum(iter([])) == []
         self.check(np.empty(0))
         self.check(np.empty(0), np.array([-0.0]), np.empty(0))
 
@@ -263,11 +267,11 @@ class TestVectorPad:
 
 
 class TestLogSum:
-    """The exact sum of segment fsums against a 40-digit oracle."""
+    """The exact sum of the float terms, padded once, against a 40-digit oracle."""
 
     @pytest.mark.parametrize("segment", [7, 30, 4096])
     def test_twin_partial_sum_contains_oracle(self, monkeypatch, segment):
-        monkeypatch.setattr(euler_product, "_S1_SEGMENT", segment)
+        monkeypatch.setattr(euler_product, "DEFAULT_SEGMENT_SIZE", segment)
         total, pi_cutoff = _log_sum(10**4, _twin_local_log_terms)
         assert pi_cutoff == 1229
         with mpmath.workdps(40):
@@ -277,8 +281,25 @@ class TestLogSum:
                 if is_prime(p)
             )
             assert mpmath.mpf(total.lo) <= exact <= mpmath.mpf(total.hi)
-        # the pad budget 2 (eps (1 + u) + u) |S|, plus outward rounding
-        assert total.width <= 2 * (_VEC_PAD + 2**-52) * -total.lo + 2 * math.ulp(total.lo)
+        # the pad budget 2 eps |Y|, plus outward rounding: each end is the
+        # nearest double moved one ulp outward, at most 1.5 ulps from exact
+        assert total.width <= 2 * _VEC_PAD * -total.lo + 3 * math.ulp(total.lo)
+
+    @pytest.mark.parametrize(
+        "cutoff, segments",
+        # sizes 7 and 30 would take 1.4M and 333k segments, minutes, at 1e7
+        [(10**5, (7, 30, 4096, 10007, 1 << 20)), (10**7, (4096, 10007, 1 << 20))],
+    )
+    def test_bits_do_not_depend_on_segment_size(self, monkeypatch, cutoff, segments):
+        def ends():
+            report = h_bound(cutoff, Fraction(2, 5))
+            return [hex_ends(report.partial_log_sum), hex_ends(report.log_bound),
+                    hex_ends(report.h), hex_ends(twin_constant(cutoff))]
+
+        default = ends()
+        for segment in segments:
+            monkeypatch.setattr(euler_product, "DEFAULT_SEGMENT_SIZE", segment)
+            assert ends() == default, segment
 
 
 class TestHBound:
@@ -325,32 +346,60 @@ class TestHBound:
                 assert a.log_bound.intersects(b.log_bound), (a.cutoff, b.cutoff)
 
     def test_exact_bits(self):
-        # pins the exactly added segment sums, not only their value; each
-        # pin nests in the one the per-term padded fold gave
-        report = h_bound(10**6, Fraction(2, 5))
-        assert report.pi_cutoff == 78498
+        # pins the exactly added float terms, not only their value; each pin
+        # nests in the one the per-segment rounded sums gave
+        report = h_bound(10**5, Fraction(2, 5))  # the CLI artifact pin's cutoff
         assert_pinned(
             report.partial_log_sum,
-            ("0x1.b368c4754023dp+2", "0x1.b368c475402a2p+2"),
-            ("0x1.b368c4754023cp+2", "0x1.b368c475402a2p+2"),
+            ("0x1.b08fd42d2fcb7p+2", "0x1.b08fd42d2fd1bp+2"),
+            ("0x1.b08fd42d2fcb6p+2", "0x1.b08fd42d2fd1bp+2"),
         )
         assert_pinned(
             report.h,
+            ("0x1.aecb6b8faa769p+9", "0x1.dd224d7b8b1b3p+9"),
+            ("0x1.aecb6b8faa762p+9", "0x1.dd224d7b8b1b3p+9"),
+        )
+        report = h_bound(10**6, Fraction(2, 5))
+        assert report.pi_cutoff == 78498
+        assert_pinned(
+            report.log_bound,
+            ("0x1.b368c4754023dp+2", "0x1.b6ed2d65fb5eap+2"),
+            ("0x1.b368c4754023dp+2", "0x1.b6ed2d65fb5ebp+2"),
+        )
+        assert_pinned(
+            report.partial_log_sum,
+            ("0x1.b368c4754023dp+2", "0x1.b368c475402a1p+2"),
+            ("0x1.b368c4754023dp+2", "0x1.b368c475402a2p+2"),
+        )
+        assert_pinned(
+            report.h,
+            ("0x1.c264d02fed2b2p+9", "0x1.dbd6b66a8bf24p+9"),
             ("0x1.c264d02fed2b2p+9", "0x1.dbd6b66a8bf2cp+9"),
-            ("0x1.c264d02fed2abp+9", "0x1.dbd6b82147869p+9"),
         )
         # the last segment holds no primes
         assert_pinned(
             h_bound(2**24 + 20, Fraction(2, 5)).partial_log_sum,
+            ("0x1.b526634da1a90p+2", "0x1.b526634da1af5p+2"),
             ("0x1.b526634da1a8fp+2", "0x1.b526634da1af6p+2"),
-            ("0x1.b526634da1a8ep+2", "0x1.b526634da1af6p+2"),
         )
         # the benchmark's own cutoff
         report = h_bound(10**8, Fraction(2, 5))
         assert report.pi_cutoff == 5761455
-        assert hex_ends(report.partial_log_sum) == ("0x1.b5be473e30996p+2", "0x1.b5be473e309fcp+2")
-        assert hex_ends(report.log_bound) == ("0x1.b5be473e30996p+2", "0x1.b6d5b93b5b56cp+2")
-        assert hex_ends(report.h) == ("0x1.d31f5a982e312p+9", "0x1.db28757eaac7bp+9")
+        assert_pinned(
+            report.partial_log_sum,
+            ("0x1.b5be473e30997p+2", "0x1.b5be473e309fbp+2"),
+            ("0x1.b5be473e30996p+2", "0x1.b5be473e309fcp+2"),
+        )
+        assert_pinned(
+            report.log_bound,
+            ("0x1.b5be473e30997p+2", "0x1.b6d5b93b5b56bp+2"),
+            ("0x1.b5be473e30996p+2", "0x1.b6d5b93b5b56cp+2"),
+        )
+        assert_pinned(
+            report.h,
+            ("0x1.d31f5a982e31ap+9", "0x1.db28757eaac73p+9"),
+            ("0x1.d31f5a982e312p+9", "0x1.db28757eaac7bp+9"),
+        )
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -369,7 +418,8 @@ class TestTwinConstant:
         assert iv.hi <= 1.320324
 
     def test_exact_bits(self):
-        # each pin nests in the one the per-term padded fold gave;
+        # the pins at 1e6 and 2**24 + 20 nest in the ones the per-term padded
+        # fold gave, the one at 1e8 in the one per-segment rounding gave;
         # 2**24 + 20 ends in a short segment without primes
         assert_pinned(
             twin_constant(10**6),
@@ -381,13 +431,17 @@ class TestTwinConstant:
             ("0x1.5200babf718f3p+0", "0x1.5200bad57b602p+0"),
             ("0x1.5200babf718f2p+0", "0x1.5200bad57b603p+0"),
         )
-        assert hex_ends(twin_constant(10**8)) == ("0x1.5200bac1df089p+0", "0x1.5200bac530059p+0")
+        assert_pinned(
+            twin_constant(10**8),
+            ("0x1.5200bac1df08ap+0", "0x1.5200bac530059p+0"),
+            ("0x1.5200bac1df089p+0", "0x1.5200bac530059p+0"),
+        )
 
     def test_memory_peak(self):
-        # tracemalloc's peak over one warm call read 15.24 MiB when one fsum
-        # took a segment's terms through a chain of memoryviews, 15.74 MiB
-        # with block-copy extraction, and 18.27 MiB in a version that held the
-        # previous terms array while the next one was computed
+        # tracemalloc's peak over one warm call read 15.74 MiB with 2^24
+        # segments and 13.45 MiB with the default 2^23; a version that held
+        # the previous terms array while the next one was computed read
+        # 18.27 MiB at 2^24 and 15.59 MiB at 2^23
         twin_constant(10**7)
         tracemalloc.start()
         try:
@@ -395,7 +449,7 @@ class TestTwinConstant:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16.5 * 2**20, peak / 2**20
+        assert peak <= 14.1 * 2**20, peak / 2**20
 
     def test_small_cutoff_coarse_tail(self):
         iv = twin_constant(3)

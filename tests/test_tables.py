@@ -57,6 +57,19 @@ class TestParsing:
             load_table_dir(tmp_path)
         assert time.perf_counter() - start < 1.0
 
+    def test_oversized_rows_fail_fast(self, tmp_path):
+        # a threshold of more than 309 digits, or a count of more digits than
+        # its threshold, is malformed before any int conversion: a 5000-digit
+        # mantissa or count would exceed Python's int-string limit
+        assert parse_table("0001d308  1" + "0" * 308)[0].pi2 == 10**308
+        for row in ["9" * 5000 + "d0  5", "1d6  " + "9" * 5000, "1" * 4000 + "d308  5",
+                    "10d308  5", "1d3  10000", "1" * 310 + "d0  5"]:
+            (tmp_path / "rows.txt").write_text(f"1d6  8169\n{row}\n")
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"rows\.txt, line 2: malformed census table line"):
+                load_table_dir(tmp_path)
+            assert time.perf_counter() - start < 1.0
+
     def test_prediction_forms(self):
         # the third column is checked, then dropped: the row is the two-column row
         for text in ["1.5e3", "-2", ".5", "7."]:
@@ -90,10 +103,10 @@ class TestParsing:
         (1001 * 10**12, "1001d12"), (4 * 10**18, "4d18"),
     ])
     def test_threshold_spelling_round_trip(self, threshold, label):
-        row = _entry_at(threshold, 8169)
-        assert emit_table([row]) == f"{label}  8169\n"
+        row = _entry_at(threshold, 1)  # a count has no more digits than its threshold
+        assert emit_table([row]) == f"{label}  1\n"
         (back,) = parse_table(emit_table([row]))
-        assert (back.threshold, back.pi2) == (threshold, 8169)
+        assert (back.threshold, back.pi2) == (threshold, 1)
 
     def test_merge_keeps_first_row_per_threshold(self, tmp_path):
         # 10d5 and 1d6 name one threshold; a predicted count changes nothing
