@@ -38,7 +38,7 @@ from pathlib import Path
 from . import __version__
 from .divisor_error import scan_c
 from .euler_product import h_bound
-from .interval import Interval
+from .interval import Interval, _frac_bracket
 from .projection import DEFAULT_B_ASSUMED, project_table
 from .rv_bound import DEFAULT_WIDTH_TARGET, brun_upper, derive_params
 from .sieve import DEFAULT_SEGMENT_SIZE, TwinCensus, census
@@ -157,10 +157,7 @@ def _exponent_list(text: str) -> list:
 def _outward_from_decimals(lo_text: str, hi_text: str) -> Interval:
     """Endpoint strings to finite doubles, rounded away from the interior."""
     try:
-        iv = Interval(
-            Interval.from_decimal(Decimal(lo_text)).lo,
-            Interval.from_decimal(Decimal(hi_text)).hi,
-        )
+        iv = _frac_bracket(Decimal(lo_text), Decimal(hi_text))
     except decimal.InvalidOperation:
         raise UsageError(f"endpoints must be decimal numbers: {lo_text!r}, {hi_text!r}")
     except ValueError as exc:  # reversed or NaN endpoints

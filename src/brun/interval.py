@@ -12,8 +12,9 @@ facts about the platform:
   one ulp on every libm this package targets, so two outward nudges per
   endpoint leave at least a full ulp of slack.
 
-Simplicity is preferred over tightness: exact operations are nudged too.
-Callers that need the last ulp should not; nobody here does.
+An exact int, rational or decimal enters as the two doubles next to it,
+or as a point if it is a double (``_frac_bracket``).  Simplicity is
+preferred over tightness elsewhere: exact operations are nudged too.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = ["Interval", "EULER_GAMMA", "ei_neg", "rational_pow"]
 _FLOAT_MAX = sys.float_info.max
 
 IntervalLike = Union["Interval", int, float]
+Exact = Union[int, Fraction, Decimal]
 
 
 def _down(x: float) -> float:
@@ -91,6 +93,17 @@ def _vdn(a):
     return -_step_up(np.asarray(np.subtract(0.0, a)))  # 0 - a is -a, with +0 for -0
 
 
+def _frac_bracket(lo_q: Exact, hi_q: Exact) -> "Interval":
+    """[largest double <= lo_q, least double >= hi_q].  ``float()`` rounds
+    to nearest, and Python compares a float with an int, Fraction or
+    Decimal exactly, so each end steps one ulp out only if it must.  A
+    huge int or Fraction raises OverflowError; a huge Decimal gives inf."""
+    lo, hi = float(lo_q), float(hi_q)
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError("NaN is not an exact value")
+    return Interval(_down(lo) if lo > lo_q else lo, _up(hi) if hi < hi_q else hi)
+
+
 class Interval:
     """Closed interval of doubles, arithmetic rounded outward.
 
@@ -129,25 +142,15 @@ class Interval:
 
     @classmethod
     def from_int(cls, n: int) -> "Interval":
-        f = float(n)
-        if f == n:
-            return cls(f, f)
-        return cls(_down(f), _up(f))
+        return _frac_bracket(n, n)
 
     @classmethod
     def from_fraction(cls, q: Fraction) -> "Interval":
-        f = float(q)
-        if Fraction(f) == q:
-            return cls(f, f)
-        # float(q) rounds to nearest, so the true value is within one ulp
-        return cls(_down(f), _up(f))
+        return _frac_bracket(q, q)
 
     @classmethod
     def from_decimal(cls, d: Decimal) -> "Interval":
-        f = float(d)
-        if not math.isinf(f) and Decimal(f) == d:
-            return cls(f, f)
-        return cls(_down(f), _up(f))
+        return _frac_bracket(d, d)
 
     # ------------------------------------------------------------------
     # queries
@@ -373,10 +376,6 @@ def _e1_point(z: float) -> Interval:
     if z <= _SERIES_MAX:
         return _e1_series(z)
     return _e1_contfrac(z)
-
-
-def _frac_bracket(lo_q: Fraction, hi_q: Fraction) -> Interval:
-    return Interval(Interval.from_fraction(lo_q).lo, Interval.from_fraction(hi_q).hi)
 
 
 def _e1_series(z: float) -> Interval:

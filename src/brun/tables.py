@@ -4,7 +4,7 @@ A census table is a text file of lines
 
     <k>d<n>  <pi2>  [<prediction>]
 
-where ``<k>d<n>`` names the threshold k * 10^n, of at most 309 digits
+where ``<k>d<n>`` names the threshold k * 10^n, k > 0, of at most 309 digits
 (10^309 exceeds every double), ``<pi2>`` is the exact number of twin pairs
 up to that threshold, of no more digits than the threshold, and an optional
 third column (a predicted count) is checked to be a finite decimal and
@@ -56,7 +56,7 @@ DEFAULT_BASE_ENCLOSURE = Interval(1.8065924, 1.8065925)
 _MAX_DIGITS = 309
 
 _LINE = re.compile(
-    r"^(?P<k>\d+)d(?P<n>\d{1,3})\s+(?P<pi2>\d+)"
+    r"^(?P<k>0*[1-9]\d*)d(?P<n>\d{1,3})\s+(?P<pi2>\d+)"
     r"(?:\s+(?P<pred>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?))?\s*$"
 )
 
@@ -86,7 +86,7 @@ def parse_table(text: str) -> list:
             continue
         if m := _LINE.match(line):
             k, n, pi2, pred = m.groups()
-            digits = len(k.lstrip("0")) + int(n)  # of the threshold, if k > 0
+            digits = len(k.lstrip("0")) + int(n)  # of the threshold
         if (
             m is None
             or digits > _MAX_DIGITS

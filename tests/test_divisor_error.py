@@ -24,7 +24,7 @@ from brun.divisor_error import (
     error_term,
     scan_c,
 )
-from brun.interval import Interval
+from conftest import assert_pinned, hex_ends
 
 
 def divisor_counts_by_multiples(x: int) -> list:
@@ -41,129 +41,149 @@ def exact_divisor_sum(x: int) -> Fraction:
     return sum(Fraction(counts[n], n) for n in range(1, x + 1))
 
 
-def hex_ends(iv: Interval) -> tuple:
-    return iv.lo.hex(), iv.hi.hex()
-
-
-def assert_pinned(iv: Interval, pin: tuple, before: tuple) -> None:
-    """``iv`` has the hex ends ``pin``, which nest in the earlier pin."""
-    assert hex_ends(iv) == pin
-    lo, hi = map(float.fromhex, pin)
-    old_lo, old_hi = map(float.fromhex, before)
-    assert old_lo <= lo and hi <= old_hi
-
-
 # Captured before the scan walked n in blocks, at xmax around its block
-# size B = 2^15.
+# size B = 2^15.  The head and bound moved inward, and the argmax with
+# them, when alpha entered as the two doubles next to it; each moved pin
+# is followed by the one it nests in.
 B = 1 << 15
 SCAN_ALPHAS = (Fraction(1, 3), Fraction(2, 5), Fraction(9, 20))
-HEAD_PINS = {
-    Fraction(1, 3): ("0x1.a40cb0724f53bp+0", "0x1.a40cc3f04f86ep+0"),
-    Fraction(2, 5): ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
-    Fraction(9, 20): ("0x1.8f7c7c703b3c7p-1", "0x1.8f7c988ae19a8p-1"),
+HEAD_PINS = {  # alpha: (head, head before)
+    Fraction(1, 3): (
+        ("0x1.a40cb0724f544p+0", "0x1.a40cc3f04f862p+0"),
+        ("0x1.a40cb0724f53bp+0", "0x1.a40cc3f04f86ep+0"),
+    ),
+    Fraction(2, 5): (
+        ("0x1.0cdf881716231p+0", "0x1.0cdf981d81d8fp+0"),
+        ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
+    ),
+    Fraction(9, 20): (
+        ("0x1.8f7c7c703b3cep-1", "0x1.8f7c988ae19a4p-1"),
+        ("0x1.8f7c7c703b3c7p-1", "0x1.8f7c988ae19a8p-1"),
+    ),
 }
-SCAN_PINS = {  # (alpha, xmax): (bound, scanned, argmax)
+SCAN_PINS = {  # (alpha, xmax): (bound, bound before, scanned, argmax)
     (Fraction(1, 3), 1): (
+        ("0x1.a40cb0724f544p+0", "0x1.a40cc3f04f862p+0"),
         ("0x1.a40cb0724f53bp+0", "0x1.a40cc3f04f86ep+0"),
         ("0x1.0ad972526ca6ep-1", "0x1.0ad97ce80f7adp-1"),
-        "0x1.81181a80225acp-11",
+        "0x1.81181a80225b8p-11",
     ),
     (Fraction(1, 3), 2): (
+        ("0x1.a40cb0724f544p+0", "0x1.a40cc3f04f862p+0"),
         ("0x1.a40cb0724f53bp+0", "0x1.a40cc3f04f86ep+0"),
         ("0x1.362302372df07p-1", "0x1.503599f677e89p-1"),
-        "0x1.81181a80225acp-11",
+        "0x1.81181a80225b8p-11",
     ),
     (Fraction(1, 3), B - 1): (
+        ("0x1.a40cb0724f544p+0", "0x1.a40cc3f04f862p+0"),
         ("0x1.a40cb0724f53bp+0", "0x1.a40cc3f04f86ep+0"),
         ("0x1.362302372df07p-1", "0x1.6304aedb294aap-1"),
-        "0x1.81181a80225acp-11",
+        "0x1.81181a80225b8p-11",
     ),
     (Fraction(1, 3), B): (
+        ("0x1.a40cb0724f544p+0", "0x1.a40cc3f04f862p+0"),
         ("0x1.a40cb0724f53bp+0", "0x1.a40cc3f04f86ep+0"),
         ("0x1.362302372df07p-1", "0x1.6304aedb294aap-1"),
-        "0x1.81181a80225acp-11",
+        "0x1.81181a80225b8p-11",
     ),
     (Fraction(1, 3), B + 1): (
+        ("0x1.a40cb0724f544p+0", "0x1.a40cc3f04f862p+0"),
         ("0x1.a40cb0724f53bp+0", "0x1.a40cc3f04f86ep+0"),
         ("0x1.362302372df07p-1", "0x1.6304aedb294aap-1"),
-        "0x1.81181a80225acp-11",
+        "0x1.81181a80225b8p-11",
     ),
     (Fraction(1, 3), 2 * B + 1): (
+        ("0x1.a40cb0724f544p+0", "0x1.a40cc3f04f862p+0"),
         ("0x1.a40cb0724f53bp+0", "0x1.a40cc3f04f86ep+0"),
         ("0x1.362302372df07p-1", "0x1.6304aedb294aap-1"),
-        "0x1.81181a80225acp-11",
+        "0x1.81181a80225b8p-11",
     ),
     (Fraction(1, 3), 10**6): (
+        ("0x1.a40cb0724f544p+0", "0x1.a40cc3f04f862p+0"),
         ("0x1.a40cb0724f53bp+0", "0x1.a40cc3f04f86ep+0"),
         ("0x1.362302372df07p-1", "0x1.6304aedb294aap-1"),
-        "0x1.81181a80225acp-11",
+        "0x1.81181a80225b8p-11",
     ),
     (Fraction(2, 5), 1): (
+        ("0x1.0cdf881716231p+0", "0x1.0cdf981d81d8fp+0"),
         ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
         ("0x1.0ad972526ca6ep-1", "0x1.0ad97ce80f7adp-1"),
-        "0x1.029084d1dafccp-9",
+        "0x1.029084d1dafc8p-9",
     ),
     (Fraction(2, 5), 2): (
+        ("0x1.0cdf881716231p+0", "0x1.0cdf981d81d8fp+0"),
         ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
         ("0x1.44cded0abd4c1p-1", "0x1.601c300e42b8ep-1"),
-        "0x1.029084d1dafccp-9",
+        "0x1.029084d1dafc8p-9",
     ),
     (Fraction(2, 5), B - 1): (
+        ("0x1.0cdf881716231p+0", "0x1.0cdf981d81d8fp+0"),
         ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
         ("0x1.5ae021eb6d793p-1", "0x1.7dfef9da61be7p-1"),
-        "0x1.029084d1dafccp-9",
+        "0x1.029084d1dafc8p-9",
     ),
     (Fraction(2, 5), B): (
+        ("0x1.0cdf881716231p+0", "0x1.0cdf981d81d8fp+0"),
         ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
         ("0x1.5ae021eb6d793p-1", "0x1.7dfef9da61be7p-1"),
-        "0x1.029084d1dafccp-9",
+        "0x1.029084d1dafc8p-9",
     ),
     (Fraction(2, 5), B + 1): (
+        ("0x1.0cdf881716231p+0", "0x1.0cdf981d81d8fp+0"),
         ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
         ("0x1.5ae021eb6d793p-1", "0x1.7dfef9da61be7p-1"),
-        "0x1.029084d1dafccp-9",
+        "0x1.029084d1dafc8p-9",
     ),
     (Fraction(2, 5), 2 * B + 1): (
+        ("0x1.0cdf881716231p+0", "0x1.0cdf981d81d8fp+0"),
         ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
         ("0x1.5ae021eb6d793p-1", "0x1.7dfef9da61be7p-1"),
-        "0x1.029084d1dafccp-9",
+        "0x1.029084d1dafc8p-9",
     ),
     (Fraction(2, 5), 10**6): (
+        ("0x1.0cdf881716231p+0", "0x1.0cdf981d81d8fp+0"),
         ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
         ("0x1.5ae021eb6d793p-1", "0x1.7dfef9da61be7p-1"),
-        "0x1.029084d1dafccp-9",
+        "0x1.029084d1dafc8p-9",
     ),
     (Fraction(9, 20), 1): (
+        ("0x1.8f7c7c703b3cep-1", "0x1.8f7c988ae19a4p-1"),
         ("0x1.8f7c7c703b3c7p-1", "0x1.8f7c988ae19a8p-1"),
         ("0x1.0ad972526ca6ep-1", "0x1.0ad97ce80f7adp-1"),
         "0x1.bea65e29ab6edp-9",
     ),
     (Fraction(9, 20), 2): (
+        ("0x1.8f7c7c703b3cep-1", "0x1.8f7c988ae19a4p-1"),
         ("0x1.8f7c7c703b3c7p-1", "0x1.8f7c988ae19a8p-1"),
         ("0x1.504233a5f3f78p-1", "0x1.6c86f97d957c3p-1"),
         "0x1.bea65e29ab6edp-9",
     ),
     (Fraction(9, 20), B - 1): (
+        ("0x1.8f7c7c703b3cep-1", "0x1.96a35fa1fdfaep-1"),
         ("0x1.8f7c7c703b3c7p-1", "0x1.96a35fa1fdfaep-1"),
         ("0x1.86968580177ebp-1", "0x1.96a35fa1fdfaep-1"),
         "0x1.8000000000000p+3",
     ),
     (Fraction(9, 20), B): (
+        ("0x1.8f7c7c703b3cep-1", "0x1.96a35fa1fdfaep-1"),
         ("0x1.8f7c7c703b3c7p-1", "0x1.96a35fa1fdfaep-1"),
         ("0x1.86968580177ebp-1", "0x1.96a35fa1fdfaep-1"),
         "0x1.8000000000000p+3",
     ),
     (Fraction(9, 20), B + 1): (
+        ("0x1.8f7c7c703b3cep-1", "0x1.96a35fa1fdfaep-1"),
         ("0x1.8f7c7c703b3c7p-1", "0x1.96a35fa1fdfaep-1"),
         ("0x1.86968580177ebp-1", "0x1.96a35fa1fdfaep-1"),
         "0x1.8000000000000p+3",
     ),
     (Fraction(9, 20), 2 * B + 1): (
+        ("0x1.8f7c7c703b3cep-1", "0x1.96a35fa1fdfaep-1"),
         ("0x1.8f7c7c703b3c7p-1", "0x1.96a35fa1fdfaep-1"),
         ("0x1.86968580177ebp-1", "0x1.96a35fa1fdfaep-1"),
         "0x1.8000000000000p+3",
     ),
     (Fraction(9, 20), 10**6): (
+        ("0x1.8f7c7c703b3cep-1", "0x1.96a35fa1fdfaep-1"),
         ("0x1.8f7c7c703b3c7p-1", "0x1.96a35fa1fdfaep-1"),
         ("0x1.86968580177ebp-1", "0x1.96a35fa1fdfaep-1"),
         "0x1.8000000000000p+3",
@@ -306,24 +326,29 @@ class TestScan:
 
     def test_exact_bits(self):
         # bound, head and argmax were captured before the divisor counts
-        # were built from divisor pairs; the scanned part nests in its pin
-        # from before the prefix sums added exact integers
+        # were built from divisor pairs, and moved when alpha entered at
+        # one ulp; the scanned part nests in its pin from before the
+        # prefix sums added exact integers
         scan = scan_c(Fraction(2, 5), 10**5)
-        assert hex_ends(scan.bound) == ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0")
-        assert hex_ends(scan.head) == ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0")
+        for iv in (scan.bound, scan.head):
+            assert_pinned(
+                iv,
+                ("0x1.0cdf881716231p+0", "0x1.0cdf981d81d8fp+0"),
+                ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
+            )
         assert_pinned(
             scan.scanned,
             ("0x1.5ae021eb6d793p-1", "0x1.7dfef9da61be7p-1"),
             ("0x1.5ae021eb6d752p-1", "0x1.7dfef9da61bedp-1"),
         )
-        assert scan.argmax.hex() == "0x1.029084d1dafccp-9"
+        assert scan.argmax.hex() == "0x1.029084d1dafc8p-9"
 
     @pytest.mark.parametrize("alpha, xmax", sorted(SCAN_PINS))
     def test_bits_around_blocks(self, alpha, xmax):
-        bound, scanned, argmax = SCAN_PINS[alpha, xmax]
+        bound, before, scanned, argmax = SCAN_PINS[alpha, xmax]
         scan = scan_c(alpha, xmax)
-        assert hex_ends(scan.bound) == bound
-        assert hex_ends(scan.head) == HEAD_PINS[alpha]
+        assert_pinned(scan.bound, bound, before)
+        assert_pinned(scan.head, *HEAD_PINS[alpha])
         assert hex_ends(scan.scanned) == scanned
         assert scan.argmax.hex() == argmax
 

@@ -38,6 +38,8 @@ class TestParsing:
 
     def test_malformed_lines(self):
         bad_lines = ["12 34", "ad3 5", "3d4 x", "3d4", "3d4 5 1e", "3d4 5 +-", "3d4 5 1.2.3"]
+        # a zero mantissa names threshold 0, whose bracket would divide by 0
+        bad_lines += ["0d5  3", "000d0  0"]
         # a prediction must be a finite double: 1e999 would be written back as inf
         for bad in bad_lines + ["3d4 5 1e999", "3d4 5 -1e999"]:
             with pytest.raises(ValueError, match="malformed census table line"):
