@@ -317,7 +317,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("census", help="sieve an exact census up to a limit")
     p.add_argument("--limit", type=_positive_int, required=True)
     p.add_argument("--segment-size", type=_segment_size, default=DEFAULT_SEGMENT_SIZE)
-    p.add_argument("--threads", type=_positive_int, default=1, help="must be >= 1; has no effect")
+    p.add_argument(
+        "--threads",
+        type=_positive_int,
+        default=1,
+        help="worker processes, at most the CPU count; results do not depend on it",
+    )
     p.add_argument("--emit-table", metavar="PATH", help="write the count as a table row")
     p.add_argument("--json", metavar="PATH", help="write a JSON artifact")
     p.set_defaults(handler=_cmd_census)

@@ -8,15 +8,15 @@ segment's are one mask, one byte per k, flagging k with 6k - 1 and 6k + 1
 both prime; each base prime crosses off both of its residues in it.  A
 5005-periodic k-pattern pre-sieves 5, 7, 11 and 13, and base primes from
 17 on cross off the rest.  The generator yields segments in ascending
-order on the calling thread.  Consumers read them through ``members()``
+order, or a worker's shard.  Consumers read them through ``members()``
 and ``count()``: ``census`` and ``twin_lower_members`` map over twin
 segments, ``prime_count`` and both Euler products over two-mask ones.
 
 The census adds the partial sum of 1/p + 1/(p+2) over twin pairs as an
 exact integer at the fixed binary scale 2^61: each reciprocal becomes
 floor(2^61 / q) units.  Integer addition is exact, so the total is the
-same whatever the segment boundaries or the order of the segments, and
-the enclosure is rounded outward once, at the end.
+same whatever the segments, their order or the process that sieved
+them, and the enclosure is rounded outward once, at the end.
 
 A twin pair (p, p+2) is counted at its lower member: pi2(x) counts pairs
 with p <= x, and the partial sum includes both reciprocals of such pairs
@@ -26,6 +26,7 @@ even when p + 2 > x.  Every pair but (3, 5) is (6k - 1, 6k + 1).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,11 +105,12 @@ class _Segment:
         return int(sum(map(np.count_nonzero, self.masks))) + (self.lo == 3)
 
 
-def _sieved_segments(limit: int, segment_size: int, twins: bool = False):
+def _sieved_segments(limit: int, segment_size: int, twins: bool = False, shard: tuple = (0, 1)):
     """Yield the ``_Segment``s of [3, limit], ascending.
 
     Segments hold segment_size numbers, the last one fewer; lo is the
-    segment start rounded up to odd.  ``twins`` yields twin segments.
+    segment start rounded up to odd.  ``twins`` yields twin segments;
+    ``shard`` = (i, n) only segments i, i + n, ..., spreading the top ones.
     Consumers ``map`` over it, which frees each segment before the next
     is sieved; under glibc, holding one across the next sieve cost
     census(1e9) 42k page faults, not 2.6k.
@@ -155,7 +157,8 @@ def _sieved_segments(limit: int, segment_size: int, twins: bool = False):
                 plus[-1] = False
         return _Segment(lo, k0, tuple(masks))
 
-    for a in range(3, limit + 1, segment_size):
+    i, n = shard
+    for a in range(3 + i * segment_size, limit + 1, n * segment_size):
         lo = a if a % 2 == 1 else a + 1
         b = min(a + segment_size - 1, limit)
         if lo <= b:
@@ -170,24 +173,39 @@ def _twin_units(segment: _Segment):
     return sum(map(len, parts)), sum(int((_SCALE // p + _SCALE // (p + 2)).sum()) for p in parts)
 
 
+def _census_units(limit: int, segment_size: int, shard: tuple = (0, 1)) -> tuple:
+    """(pi2, units) of one shard's twin segments: ``_twin_units`` added up."""
+    pairs = list(map(_twin_units, _sieved_segments(limit, segment_size, twins=True, shard=shard)))
+    return sum(count for count, _ in pairs), sum(units for _, units in pairs)
+
+
 def census(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE, threads: int = 1) -> TwinCensus:
     """Count twin pairs up to ``limit`` and enclose their reciprocal sum.
 
     The sum is added in units of 2^-61, each 1/q as floor(2^61 / q).  A
     floor loses less than one unit, so the exact sum lies in
     [units, units + 2 pi2] * 2^-61; that bracket is rounded outward once.
-    ``segment_size`` is a performance knob only: every choice yields the
-    same pi2 and bit-identical brun_partial endpoints.  ``threads`` must be
-    at least 1 and does not change how the work runs.
+    Up to min(threads, segments, CPUs) forked processes sieve one shard
+    each.  ``segment_size`` and ``threads`` (at least 1) are performance
+    knobs only: every choice yields the same pi2 and bit-identical
+    brun_partial endpoints.
     """
     if limit < 0:
         raise ValueError(f"negative limit: {limit}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1: {threads}")
-    pi2 = units = 0
-    for count, u in map(_twin_units, _sieved_segments(limit, segment_size, twins=True)):
-        pi2 += count
-        units += u
+    segments = len(range(3, limit + 1, segment_size)) if segment_size >= 2 else 0
+    n = min(threads, segments, os.cpu_count() or 1)
+    if n > 1:  # a serial census imports neither
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+    if n < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        shares = [_census_units(limit, segment_size)]
+    else:  # forked workers inherit numpy, spawned ones would import it again
+        with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork")) as pool:
+            shards = [(i, n) for i in range(n)]
+            shares = list(pool.map(_census_units, [limit] * n, [segment_size] * n, shards))
+    pi2, units = map(sum, zip(*shares))
     partial = _frac_bracket(Fraction(units, _SCALE), Fraction(units + 2 * pi2, _SCALE))
     return TwinCensus(limit=limit, pi2=pi2, brun_partial=partial)
 

@@ -1,4 +1,9 @@
-"""Helpers shared by the test modules: exact-bit pins of enclosures."""
+"""Helpers shared by the test modules: exact-bit pins of enclosures, and a
+stand-in process pool that records what ``census`` asks of it."""
+
+import concurrent.futures
+
+import pytest
 
 
 def hex_ends(iv) -> tuple:
@@ -11,3 +16,32 @@ def assert_pinned(iv, pin: tuple, before: tuple) -> None:
     lo, hi = map(float.fromhex, pin)
     old_lo, old_hi = map(float.fromhex, before)
     assert old_lo <= lo and hi <= old_hi
+
+
+class _RecordingPool:
+    """Takes ProcessPoolExecutor's place: records each requested worker count
+    and start method, and maps in the calling process."""
+
+    def __init__(self, requests, max_workers, mp_context):
+        requests.append((max_workers, mp_context.get_start_method()))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def pool_requests(monkeypatch):
+    """(max_workers, start method) of every pool a census opens; none start."""
+    requests = []
+    monkeypatch.setattr(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        lambda *args, **kwargs: _RecordingPool(requests, *args, **kwargs),
+    )
+    return requests

@@ -2,13 +2,16 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from brun import __version__, cli, tables
+from brun import __version__, cli, sieve, tables
 from brun.cli import main
 from brun.interval import Interval
 from brun.sieve import TwinCensus
@@ -199,6 +202,41 @@ class TestCensus:
         payload = json.loads(a.read_text())
         assert payload["pi2"] == 705
         assert "version" in payload
+
+    def test_worker_count_is_capped(self, pool_requests, capsys):
+        args = ["census", "--limit", "1e5", "--segment-size", "4096"]
+        assert main(args + ["--threads", "1000000"]) == 0
+        capped = capsys.readouterr().out
+        assert all(n <= os.cpu_count() for n, _ in pool_requests)
+        assert len(pool_requests) == ((os.cpu_count() or 1) > 1)
+        assert main(args) == 0
+        assert capsys.readouterr().out == capped
+
+    def test_worker_error_is_computation_error(self, monkeypatch, capsys):
+        def exhausted(segment):
+            raise MemoryError("Unable to allocate a segment")
+
+        # forked workers inherit the patched module
+        monkeypatch.setattr(sieve, "_twin_units", exhausted)
+        assert main(["census", "--limit", "1e6", "--segment-size", "4096", "--threads", "2"]) == 2
+        assert capsys.readouterr().err == "brun: Unable to allocate a segment\n"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2 or "fork" not in multiprocessing.get_all_start_methods(),
+        reason="census runs in the calling process",
+    )
+    def test_killed_worker_is_computation_error(self, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def killed(segment):
+            assert os.getpid() != parent
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(sieve, "_twin_units", killed)
+        assert main(["census", "--limit", "1e6", "--segment-size", "4096", "--threads", "2"]) == 2
+        assert capsys.readouterr().err.startswith("brun: A process in the process pool")
+        assert multiprocessing.active_children() == []
 
 
 class TestExtend:

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import multiprocessing
+import os
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -135,7 +137,7 @@ class TestPartitionIndependence:
         primes = prime_count(limit)
         members = twin_lower_members(limit).tolist()
         for segment_size in (4096, 10007, 1 << 16, limit * 2):
-            for threads in (1, 3):
+            for threads in (1, 2, 3):
                 c = census(limit, segment_size=segment_size, threads=threads)
                 assert c == reference, (segment_size, threads)
             assert prime_count(limit, segment_size=segment_size) == primes, segment_size
@@ -173,6 +175,40 @@ class TestPartitionIndependence:
     def test_prime_count_matches_trial_division(self, limit, segment_size):
         expected = sum(1 for n in range(limit + 1) if is_prime(n))
         assert prime_count(limit, segment_size) == expected
+
+
+class TestWorkers:
+    """census(threads=n) sieves interleaved shards in forked worker processes."""
+
+    @pytest.mark.parametrize("segment_size", (2, 9, 4096))
+    def test_threads_match_serial(self, segment_size):
+        # fewer segments than workers, and size 9's boundary between 11 and 13
+        for limit in (0, 2, 3, 4, 5, 13, 100):
+            serial = census(limit, segment_size=segment_size)
+            for threads in (2, 3):
+                assert census(limit, segment_size, threads) == serial, (limit, threads)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("twins", (False, True))
+    def test_shards_partition_the_segments(self, twins):
+        def members(segments):
+            return sorted(int(p) for s in segments for part in s.members() for p in part)
+
+        for limit, segment_size in ((100, 9), (5000, 64), (20000, 4096)):
+            whole = members(_sieved_segments(limit, segment_size, twins))
+            for n in (1, 2, 3, 5):
+                shards = [_sieved_segments(limit, segment_size, twins, shard=(i, n)) for i in range(n)]
+                assert members(s for shard in shards for s in shard) == whole, (limit, n)
+
+    def test_worker_count_is_capped(self, pool_requests):
+        reference = census(10**5, segment_size=4096)
+        assert census(10**5, segment_size=4096, threads=10**6) == reference
+        assert all(n <= os.cpu_count() and method == "fork" for n, method in pool_requests)
+        assert len(pool_requests) == ((os.cpu_count() or 1) > 1)
+
+    def test_one_segment_opens_no_pool(self, pool_requests):
+        assert census(10**5, threads=8) == census(10**5)
+        assert pool_requests == []
 
 
 def nested_in(c, outer: tuple) -> bool:
