@@ -321,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_positive_int,
         default=1,
-        help="worker processes, at most the CPU count; results do not depend on it",
+        help="worker processes, at most CPUs and segments // 6; results do not depend on it",
     )
     p.add_argument("--emit-table", metavar="PATH", help="write the count as a table row")
     p.add_argument("--json", metavar="PATH", help="write a JSON artifact")

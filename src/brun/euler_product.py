@@ -220,9 +220,10 @@ def h_bound(cutoff: int, alpha: Fraction) -> HBoundReport:
     """Enclose H(-alpha) using primes up to ``cutoff``.
 
     The lower end is the partial product alone (every tail factor
-    exceeds 1); the upper end adds the tail bound.  Requires
-    cutoff >= 599 so the Chebyshev-type bound on pi is available, and
-    0 < alpha < 1/2 so the tail series converges with room.
+    exceeds 1); the upper end adds the tail bound.  Each end is the exact
+    sum of its terms' recorded ends, rounded once.  Requires cutoff >= 599
+    so the Chebyshev-type bound on pi is available, and 0 < alpha < 1/2
+    so the tail series converges with room.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < Fraction(1, 2):
@@ -234,7 +235,8 @@ def h_bound(cutoff: int, alpha: Fraction) -> HBoundReport:
 
     # s1 is the local log sum over p <= cutoff, p = 2 included
     odd, pi_cutoff = _log_sum(cutoff, lambda pf: _h_local_log_terms(pf, alpha))
-    s1 = odd + g_factor_log(2, -alpha)
+    g2 = g_factor_log(2, -alpha)
+    s1 = _frac_bracket(Fraction(odd.lo) + Fraction(g2.lo), Fraction(odd.hi) + Fraction(g2.hi))
 
     t0 = Interval.from_int(cutoff)
     # one constant K >= r(p) for every prime p > cutoff, since r decreases
@@ -247,8 +249,8 @@ def h_bound(cutoff: int, alpha: Fraction) -> HBoundReport:
     z = Interval.from_fraction(beta - 1) * t0.log()
     integral = Interval.from_fraction(beta) * k1 * k2 * -ei_neg(-z)
 
-    log_hi = (s1 + first + integral).hi
-    log_bound = Interval(s1.lo, log_hi)
+    log_hi = Fraction(s1.hi) + Fraction(first.hi) + Fraction(integral.hi)
+    log_bound = _frac_bracket(Fraction(s1.lo), log_hi)
     return HBoundReport(
         cutoff=cutoff,
         alpha=alpha,

@@ -36,7 +36,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .interval import Interval, _down, _down2, _exp_ends, _up, _up2, rational_pow
+from .interval import Interval, _down, _down2, _exp_ends, _frac_bracket, _up, _up2, rational_pow
 
 __all__ = [
     "BoundCertificate",
@@ -254,8 +254,8 @@ def integrate_adaptive(
 
     ``piece(a, b)`` must return an Interval containing the exact integral
     over [a, b]; any sound rule works.  Always splits the widest piece
-    first (ties by position), so runs are deterministic.  The final
-    enclosure adds pieces in ascending position order.  Raises
+    first (ties by position), so runs are deterministic.  Each end of the
+    enclosure is the pieces' exact sum, rounded outward once.  Raises
     :class:`QuadratureError` when ``max_pieces`` is hit first.
     """
     if not a < b:
@@ -275,18 +275,16 @@ def integrate_adaptive(
         total_width += left.width + right.width - iv.width
         heapq.heappush(heap, (-left.width, lo, mid, left))
         heapq.heappush(heap, (-right.width, mid, hi, right))
-    pieces = sorted(heap, key=lambda item: item[1])
-    total = Interval(0.0, 0.0)
-    for _, _, _, iv in pieces:
-        total = total + iv
     if total_width > width_target:
         raise QuadratureError(
             f"width {total_width:.3e} above target {width_target:.3e} "
-            f"after {len(pieces)} pieces",
+            f"after {len(heap)} pieces",
             achieved_width=total_width,
-            pieces=len(pieces),
+            pieces=len(heap),
         )
-    return QuadratureResult(value=total, pieces=len(pieces), achieved_width=total_width)
+    # fsum rounds each end's exact sum to nearest; one ulp out encloses it
+    total = Interval(_down(math.fsum(p[3].lo for p in heap)), _up(math.fsum(p[3].hi for p in heap)))
+    return QuadratureResult(value=total, pieces=len(heap), achieved_width=total_width)
 
 
 def enclosure_piece(f: Callable[[Interval], Interval]) -> PieceFn:
@@ -423,11 +421,12 @@ class BoundCertificate:
     """A certified two-sided bound on the twin prime reciprocal sum.
 
     ``lower`` is the censused partial sum's lower end (every omitted term
-    is positive).  ``upper`` adds the certified tail estimate beyond x0.
-    ``integral`` is the quadrature enclosure of the 16 C scaled tail
-    integrand over [log x0, cutoff_u]; ``tail_bound`` records the
-    closed-form remainder of the integral beyond the cutoff, before the
-    16 C scaling.
+    is positive).  ``upper`` is brun_partial_x0.hi - pair_term.lo +
+    integral.hi + 16 twin_c.hi tail_bound.hi + sqrt_tail.hi, summed
+    exactly and rounded up once.  ``integral`` is the quadrature
+    enclosure of the 16 C scaled tail integrand over [log x0, cutoff_u];
+    ``tail_bound`` records the closed-form remainder of the integral
+    beyond the cutoff, before the 16 C scaling.
     """
 
     x0: int
@@ -487,17 +486,13 @@ def brun_upper(
         max_pieces,
     )
     tail = 1 / Interval.point(DEFAULT_CUTOFF_U)
-    pair_term = Interval.from_int(2 * pi2_x0) / Interval.from_int(x0)
+    pair_term = Interval.from_fraction(Fraction(2 * pi2_x0, x0))
     sqrt_tail = 4 * params.sqrt_coefficient * rational_pow(
         Interval.from_int(x0), -1, 2
     )
-    total = (
-        brun_partial_x0
-        - pair_term
-        + quad.value
-        + 16 * params.twin_c * tail
-        + sqrt_tail
-    )
+    # C and the closed tail are positive: 16 C.hi tail.hi bounds their product
+    upper = sum(map(Fraction, (brun_partial_x0.hi, -pair_term.lo, quad.value.hi, sqrt_tail.hi)))
+    upper += 16 * Fraction(params.twin_c.hi) * Fraction(tail.hi)
     return BoundCertificate(
         x0=x0,
         pi2_x0=pi2_x0,
@@ -511,5 +506,5 @@ def brun_upper(
         sqrt_tail=sqrt_tail,
         pair_term=pair_term,
         lower=brun_partial_x0.lo,
-        upper=total.hi,
+        upper=_frac_bracket(upper, upper).hi,
     )

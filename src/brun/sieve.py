@@ -185,17 +185,17 @@ def census(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE, threads: int = 
     The sum is added in units of 2^-61, each 1/q as floor(2^61 / q).  A
     floor loses less than one unit, so the exact sum lies in
     [units, units + 2 pi2] * 2^-61; that bracket is rounded outward once.
-    Up to min(threads, segments, CPUs) forked processes sieve one shard
-    each.  ``segment_size`` and ``threads`` (at least 1) are performance
-    knobs only: every choice yields the same pi2 and bit-identical
-    brun_partial endpoints.
+    Up to min(threads, segments // 6, CPUs) forked processes sieve one
+    shard each; a pool pays from six segments a worker.  ``segment_size``
+    and ``threads`` (at least 1) are performance knobs only: every choice
+    yields the same pi2 and bit-identical brun_partial endpoints.
     """
     if limit < 0:
         raise ValueError(f"negative limit: {limit}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1: {threads}")
     segments = len(range(3, limit + 1, segment_size)) if segment_size >= 2 else 0
-    n = min(threads, segments, os.cpu_count() or 1)
+    n = min(threads, segments // 6, os.cpu_count() or 1)
     if n > 1:  # a serial census imports neither
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor

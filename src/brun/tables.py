@@ -162,8 +162,8 @@ def extend_partial_sum(
     chain needs its count to difference against).  Rows below the base
     are ignored.  The steps are summed in 2^-61 units, floors below and
     ceilings above, so the chain is exact up to one unit per step; it is
-    rounded outward once and added to ``base``, which must be finite.
-    Returns the count and enclosure at the last row.
+    added exactly to ``base``, which must be finite, and rounded outward
+    once.  Returns the count and enclosure at the last row.
     """
     if not (math.isfinite(base.lo) and math.isfinite(base.hi)):
         raise ValueError(f"base enclosure must be finite: {base}")
@@ -178,7 +178,8 @@ def extend_partial_sum(
         two_delta = 2 * (c2 - c1)
         lo += two_delta * _SCALE // (t2 + 2)
         hi -= -two_delta * _SCALE // t1  # adds the ceiling
-    total = base + _frac_bracket(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
+    lo_q = Fraction(base.lo) + Fraction(lo, _SCALE)
+    total = _frac_bracket(lo_q, Fraction(base.hi) + Fraction(hi, _SCALE))
     return TwinCensus(limit=ts[-1], pi2=counts[-1], brun_partial=total)
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from brun import __version__, cli, sieve, tables
 from brun.cli import main
-from brun.interval import Interval
+from brun.interval import Interval, _frac_bracket
 from brun.sieve import TwinCensus
 
 FIXTURE_TABLE = "tests/fixtures/census_excerpt.txt"
@@ -91,6 +91,19 @@ class TestUsage:
         assert main(["project", "--ks", "a,b"]) == 1
         assert main(CERTIFY_NUMERIC + ["--width-target", "inf"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["census", "--limit", "abc"], "argument --limit: not a number: 'abc'"),
+        (CERTIFY_NUMERIC + ["--width-target", "abc"], "argument --width-target: not a number: 'abc'"),
+        (["project", "--ks", ","], "argument --ks: empty exponent list"),
+        (
+            ["certify", "--x0", "4e18", "--pi2", "3023463123235320", "--brun-lo", "abc", "--brun-hi", "1.840518"],
+            "brun: endpoints must be decimal numbers: 'abc', '1.840518'",
+        ),
+    ], ids=["exact-int", "positive-float", "exponent-list", "decimal-ends"])
+    def test_unparsable_values(self, argv, message, capsys):
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
     def test_retired_options_are_usage_errors(self, capsys):
         # the tail cutoff and the projection's assumed limit are constants
         assert main(CERTIFY_NUMERIC + ["--cutoff-u", "40"]) == 1
@@ -118,17 +131,17 @@ class TestArtifacts:
         (["scan-c", "--alpha", "2/5", "--xmax", "2000"], "--json",
          "14ca05a8c129ad123c82c5993ed917688560ad11d402592852750ff1517e4e21"),
         (["h-bound", "--cutoff", "1e5"], "--json",
-         "ae38055c268dc8b57ff0a39f2234fb274bef35a6e17f738e875cad5542ab0aee"),
+         "f81c40a9bff950a0e48e0b90e7d4debfd408ed990d23b313ae9a73f68928c555"),
         (CERTIFY_NUMERIC, "--out",
-         "80c086c84320340c26eb9641b77388a81f780880ff881ab3616e659c4858a096"),
+         "380f701668dda6ccc6b2fc0fff2e2818afa2b6f31d872f4d12c083147440a859"),
         (CERTIFY_TABLES, "--out",
-         "091a14d30cd87ab121897384bdc7a757c168e2d1934a81a7e94ba1c44122ffe3"),
+         "5cc51ba760d104374fae3ea5cd71928f4073ae69de6bb0666e8fa2caf0bdc423"),
         # project writes a constant, b_assumed, under inputs; the improved
         # certify drops a report field, the params' sqrt_valid_from
         (["project", "--ks", "19,20"], "--json",
-         "6d1c0e4e567418dfa802e2e393d5624e6bbc58b74a7673239cb6add674945bae"),
+         "a0ae62946c5c90f57cd2e4de44ee2c7679a4d9bec8aaeb50bd0f351fa36b5f4c"),
         (CERTIFY_NUMERIC + ["--improved"], "--out",
-         "e0fcfd8ee125e4cc4cb92d7b471b0ab20ed02d3a43cecea482bcc6aa6594ffb1"),
+         "61301e223dfb5ad0340b78bbc19228f508185e6f9ffbc90086f692fed0fccdfa"),
     ]
 
     @pytest.mark.parametrize("argv, flag, digest", PINS, ids=[
@@ -351,6 +364,39 @@ class TestExtend:
         assert "base threshold" in capsys.readouterr().err
 
 
+def _end(iv: dict, side: str) -> Fraction:
+    return Fraction(float.fromhex(iv[side + "_hex"]))
+
+
+class TestRecompute:
+    """A certified total is the exact sum of its terms' recorded ends,
+    rounded up once, so a reader recomputes it from the artifact alone."""
+
+    @pytest.mark.parametrize("argv", [
+        CERTIFY_NUMERIC, CERTIFY_NUMERIC + ["--improved"], CERTIFY_TABLES,
+    ], ids=["numeric", "improved", "tables"])
+    def test_certify_upper(self, argv, tmp_path):
+        out = tmp_path / "cert.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        inputs, params, result = cert["inputs"], cert["params"], cert["result"]
+        upper = (
+            _end(inputs["brun_partial_x0"], "hi") - _end(result["pair_term"], "lo")
+            + _end(result["integral"], "hi") + _end(result["sqrt_tail"], "hi")
+            + 16 * _end(params["twin_c"], "hi") * _end(result["tail_bound"], "hi")
+        )
+        assert _frac_bracket(upper, upper).hi.hex() == result["upper_hex"]
+
+    def test_h_bound_log_bound(self, tmp_path):
+        out = tmp_path / "h.json"
+        assert main(["h-bound", "--cutoff", "1e6", "--json", str(out)]) == 0
+        h = json.loads(out.read_text())
+        terms = ("partial_log_sum", "tail_first_term", "tail_integral_term")
+        log_hi = sum(_end(h[key], "hi") for key in terms)
+        assert _frac_bracket(log_hi, log_hi).hi.hex() == h["log_bound"]["hi_hex"]
+        assert h["log_bound"]["lo_hex"] == h["partial_log_sum"]["lo_hex"]
+
+
 class TestScanAndProduct:
     def test_scan_c(self, tmp_path, capsys):
         artifact = tmp_path / "scan.json"
@@ -400,9 +446,9 @@ class TestCertify:
         assert a.read_bytes() == b.read_bytes()
         result = json.loads(a.read_text())["result"]
         assert result["lower_hex"] == "0x1.d47b0661502bcp+0"
-        # one ulp below its pin before exact values entered at one ulp,
-        # 0x1.314a1143324bap+1
-        assert result["upper_hex"] == "0x1.314a1143324b9p+1"
+        # below its pin before the certificate's terms were one exact sum
+        # rounded once, 0x1.314a1143324b9p+1
+        assert result["upper_hex"] == "0x1.314a1143324b4p+1"
 
     def test_table_route_must_reach_x0(self, table_dir, capsys):
         rc = main([

@@ -50,19 +50,19 @@ print(json.dumps({
 PINS = {
     "scanned": ["0x1.5ae021eb6d793p-1", "0x1.7dfef9da61be7p-1"],
     "pi_cutoff_1e8": 5761455,
-    "partial_log_sum_1e8": ["0x1.b5be473e30997p+2", "0x1.b5be473e309fbp+2"],
     "twin_constant_1e8": ["0x1.5200bac1df08ap+0", "0x1.5200bac530059p+0"],
 }
-# pins that moved inward when exact values entered at one ulp, each with
-# the pin it nests in
+# pins that moved inward, each with the pin it nests in: twin_constant and
+# the scan's bound when exact values entered at one ulp, the rest when s1
+# and the log bound became one exact sum rounded once
 MOVED = {
     "partial_log_sum": (
+        ("0x1.b368c4754023fp+2", "0x1.b368c475402a0p+2"),
         ("0x1.b368c4754023ep+2", "0x1.b368c475402a1p+2"),
-        ("0x1.b368c4754023dp+2", "0x1.b368c475402a1p+2"),
     ),
     "h": (
+        ("0x1.c264d02fed2c0p+9", "0x1.dbd6b66a8bf0ep+9"),
         ("0x1.c264d02fed2b9p+9", "0x1.dbd6b66a8bf1dp+9"),
-        ("0x1.c264d02fed2b2p+9", "0x1.dbd6b66a8bf24p+9"),
     ),
     "twin_constant": (
         ("0x1.5200ba7efc024p+0", "0x1.5200bc42998adp+0"),
@@ -72,13 +72,17 @@ MOVED = {
         ("0x1.0cdf881716231p+0", "0x1.0cdf981d81d8fp+0"),
         ("0x1.0cdf88171622cp+0", "0x1.0cdf981d81d92p+0"),
     ),
+    "partial_log_sum_1e8": (
+        ("0x1.b5be473e30998p+2", "0x1.b5be473e309fap+2"),
+        ("0x1.b5be473e30997p+2", "0x1.b5be473e309fbp+2"),
+    ),
     "log_bound_1e8": (
+        ("0x1.b5be473e30998p+2", "0x1.b6d5b93b5b568p+2"),
         ("0x1.b5be473e30997p+2", "0x1.b6d5b93b5b56ap+2"),
-        ("0x1.b5be473e30997p+2", "0x1.b6d5b93b5b56bp+2"),
     ),
     "h_1e8": (
+        ("0x1.d31f5a982e321p+9", "0x1.db28757eaac5dp+9"),
         ("0x1.d31f5a982e31ap+9", "0x1.db28757eaac6cp+9"),
-        ("0x1.d31f5a982e31ap+9", "0x1.db28757eaac73p+9"),
     ),
 }
 

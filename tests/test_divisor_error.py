@@ -265,6 +265,10 @@ class TestDivisorSum:
 
 
 class TestErrorTerm:
+    def test_zero_raises(self):
+        with pytest.raises(ValueError, match="error_term needs x >= 1: 0"):
+            error_term(0)
+
     def test_at_one_closed_form(self):
         # E(1) = 1 - g0^2 + 2 g1
         iv = error_term(1)

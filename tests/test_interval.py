@@ -211,6 +211,16 @@ class TestElementary:
         with pytest.raises(ValueError):
             Interval(-1.0, 1.0).log()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Interval(0.0, 0.0).log(), r"log of \[0, 0\] is degenerate"),
+        (lambda: Interval(-2.0, -1.5).log1p(), r"log1p domain: \[-2.0, -1.5\]"),
+        (lambda: Interval(-1.0, -1.0).log1p(), r"log1p of \[-1, -1\] is degenerate"),
+        (lambda: Interval(-1.0, 0.0).sqrt(), r"sqrt domain: \[-1.0, 0.0\]"),
+    ], ids=["log-zero", "log1p-below", "log1p-minus-one", "sqrt-negative"])
+    def test_domain_errors(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_exp_log_roundtrip(self):
         x = Interval.point(7.25)
         back = x.log().exp()

@@ -182,8 +182,9 @@ class TestWorkers:
 
     @pytest.mark.parametrize("segment_size", (2, 9, 4096))
     def test_threads_match_serial(self, segment_size):
-        # fewer segments than workers, and size 9's boundary between 11 and 13
-        for limit in (0, 2, 3, 4, 5, 13, 100):
+        # too few segments for a pool, and size 9's boundary between 11 and 13
+        # in a pool of 111 segments
+        for limit in (0, 2, 3, 4, 5, 13, 100, 1000):
             serial = census(limit, segment_size=segment_size)
             for threads in (2, 3):
                 assert census(limit, segment_size, threads) == serial, (limit, threads)
@@ -209,6 +210,14 @@ class TestWorkers:
     def test_one_segment_opens_no_pool(self, pool_requests):
         assert census(10**5, threads=8) == census(10**5)
         assert pool_requests == []
+
+    def test_pool_only_with_six_segments_a_worker(self, pool_requests):
+        # 1e7 is 2 default segments, where a pool took 0.030 s against the
+        # serial 0.014 s; 1e8 is 12, six for each of two workers
+        census(10**7, threads=2)
+        assert pool_requests == []
+        census(10**8, threads=2)
+        assert pool_requests == ([(2, "fork")] if (os.cpu_count() or 1) >= 2 else [])
 
 
 def nested_in(c, outer: tuple) -> bool:

@@ -59,6 +59,11 @@ class TestParsing:
             load_table_dir(tmp_path)
         assert time.perf_counter() - start < 1.0
 
+    def test_comments_only_directory(self, tmp_path):
+        (tmp_path / "rows.txt").write_text("# pi2 at powers of ten\n\n# none yet\n")
+        with pytest.raises(ValueError, match="no census table rows under "):
+            load_table_dir(tmp_path)
+
     def test_oversized_rows_fail_fast(self, tmp_path):
         # a threshold of more than 309 digits, or a count of more digits than
         # its threshold, is malformed before any int conversion: a 5000-digit
@@ -137,6 +142,8 @@ class TestBracket:
         b = CensusTableEntry(2, 6, 14871)
         with pytest.raises(ValueError):
             bracket_contribution(b, a)
+        with pytest.raises(ValueError, match="pair count decreases between 1d6 and 2d6"):
+            bracket_contribution(a, CensusTableEntry(2, 6, 8168))
 
     def test_zero_delta(self):
         a = CensusTableEntry(1, 6, 8169)
