@@ -27,6 +27,7 @@ partial product, then a rigorous tail estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .interval import Interval, _frac_bracket, ei_neg, rational_pow
-from .sieve import DEFAULT_SEGMENT_SIZE, _Segment, _sieved_segments
+from .sieve import DEFAULT_SEGMENT_SIZE, _map_shards, _Segment, _sieved_segments
 
 __all__ = [
     "HBoundReport",
@@ -137,27 +138,34 @@ def _segment_sum(arrays) -> list:
     return parts
 
 
+def _shard_log_sum(cutoff: int, terms, shard: tuple) -> tuple:
+    """(members, exact sum of the ``_segment_sum`` parts) of one shard's segments."""
+    segments = _sieved_segments(cutoff, DEFAULT_SEGMENT_SIZE, shard=shard)
+    count, total = 0, Fraction(0)
+    for parts in map(_Segment.members, segments):
+        count += sum(map(len, parts))
+        total += sum(map(Fraction, _segment_sum(terms(p.astype(np.float64)) for p in parts)))
+    return count, total
+
+
 def _log_sum(cutoff: int, terms) -> tuple:
     """(enclosure of the sum of ``terms`` over the odd primes <= cutoff, pi(cutoff)).
 
     ``terms`` maps an array of odd primes, as float64, to float64 terms y,
     all of one sign, each within eps |y| of its true value, eps = _VEC_PAD.
-    It sees one class array of a segment's ``members()`` at a time; the
-    ``_segment_sum`` parts of every segment are added exactly, so neither
-    the segment size nor the order of the classes can change a bit (and a
-    NaN term raises).
+    It sees one class array of a segment's ``members()`` at a time, maybe in
+    a forked worker (``_map_shards``), so it must be picklable.  Every part
+    of every segment's ``_segment_sum`` is added exactly: neither the segment
+    size, the class order nor the worker count can move a bit (a NaN raises).
     """
     # T is the true sum and Y the exact sum of the float terms y.  The
     # terms of one product share a sign (h terms are log1p of a positive
     # number, twin terms log1p(-1/(p-1)^2) < 0), so sum |y| = |Y| and
     # |T - Y| <= eps |Y|.
-    pi_cutoff = 1 if cutoff >= 2 else 0  # the prime 2
-    total = Fraction(0)
-    for parts in map(_Segment.members, _sieved_segments(cutoff, DEFAULT_SEGMENT_SIZE)):
-        pi_cutoff += sum(map(len, parts))
-        total += sum(map(Fraction, _segment_sum(terms(p.astype(np.float64)) for p in parts)))
+    fold = functools.partial(_shard_log_sum, cutoff, terms)
+    count, total = map(sum, zip(*_map_shards(fold, cutoff, DEFAULT_SEGMENT_SIZE)))
     pad = Fraction(_VEC_PAD) * abs(total)
-    return _frac_bracket(total - pad, total + pad), pi_cutoff
+    return _frac_bracket(total - pad, total + pad), count + (cutoff >= 2)  # the prime 2
 
 
 def _h_local_log_terms(pf: np.ndarray, alpha: Fraction) -> np.ndarray:
@@ -221,9 +229,10 @@ def h_bound(cutoff: int, alpha: Fraction) -> HBoundReport:
 
     The lower end is the partial product alone (every tail factor
     exceeds 1); the upper end adds the tail bound.  Each end is the exact
-    sum of its terms' recorded ends, rounded once.  Requires cutoff >= 599
-    so the Chebyshev-type bound on pi is available, and 0 < alpha < 1/2
-    so the tail series converges with room.
+    sum of its terms' recorded ends, rounded once.  From 1e8 on, forked
+    workers sum the partial product (``_log_sum``, the same bits).  Requires
+    cutoff >= 599 so the Chebyshev-type bound on pi is available, and
+    0 < alpha < 1/2 so the tail series converges with room.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < Fraction(1, 2):
@@ -234,7 +243,7 @@ def h_bound(cutoff: int, alpha: Fraction) -> HBoundReport:
     beta = 2 - 2 * alpha  # tail factors decay like t^(-beta)
 
     # s1 is the local log sum over p <= cutoff, p = 2 included
-    odd, pi_cutoff = _log_sum(cutoff, lambda pf: _h_local_log_terms(pf, alpha))
+    odd, pi_cutoff = _log_sum(cutoff, functools.partial(_h_local_log_terms, alpha=alpha))
     g2 = g_factor_log(2, -alpha)
     s1 = _frac_bracket(Fraction(odd.lo) + Fraction(g2.lo), Fraction(odd.hi) + Fraction(g2.hi))
 
@@ -282,10 +291,10 @@ def _check_tail_domination(cutoff: int, alpha: Fraction, k1: Interval) -> None:
 def twin_constant(cutoff: int) -> Interval:
     """Enclosure of the twin prime constant 2 prod_{p>2} (1 - 1/(p-1)^2).
 
-    The partial product over p <= cutoff is an upper bound already; the
-    lower end divides off a certified tail.  For cutoff >= 601 the tail
-    uses partial summation against the Chebyshev-type pi bound; smaller
-    cutoffs fall back to the crude integral tail 2/(cutoff - 1).
+    The partial product over p <= cutoff, summed as in ``h_bound``, is an
+    upper bound already; the lower end divides off a certified tail.  For
+    cutoff >= 601 the tail uses partial summation against the Chebyshev-type
+    pi bound; smaller cutoffs fall back to the crude integral tail 2/(cutoff - 1).
     """
     if cutoff < 3:
         raise ValueError(f"cutoff must be >= 3: {cutoff}")

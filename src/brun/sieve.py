@@ -7,10 +7,11 @@ numpy byte masks, one per class, a sixth of the segment each.  A twin
 segment's are one mask, one byte per k, flagging k with 6k - 1 and 6k + 1
 both prime; each base prime crosses off both of its residues in it.  A
 5005-periodic k-pattern pre-sieves 5, 7, 11 and 13, and base primes from
-17 on cross off the rest.  The generator yields segments in ascending
-order, or a worker's shard.  Consumers read them through ``members()``
-and ``count()``: ``census`` and ``twin_lower_members`` map over twin
-segments, ``prime_count`` and both Euler products over two-mask ones.
+17 on cross off the rest.  It yields segments in ascending order, or the
+shard that ``_map_shards`` (the one process pool) gives a forked worker.
+Consumers read them through ``members()`` and ``count()``: ``census`` and
+``twin_lower_members`` map over twin segments, ``prime_count`` and both
+Euler products over two-mask ones.
 
 The census adds the partial sum of 1/p + 1/(p+2) over twin pairs as an
 exact integer at the fixed binary scale 2^61: each reciprocal becomes
@@ -25,6 +26,7 @@ even when p + 2 > x.  Every pair but (3, 5) is (6k - 1, 6k + 1).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -173,10 +175,29 @@ def _twin_units(segment: _Segment):
     return sum(map(len, parts)), sum(int((_SCALE // p + _SCALE // (p + 2)).sum()) for p in parts)
 
 
-def _census_units(limit: int, segment_size: int, shard: tuple = (0, 1)) -> tuple:
+def _census_units(limit: int, segment_size: int, shard: tuple) -> tuple:
     """(pi2, units) of one shard's twin segments: ``_twin_units`` added up."""
     pairs = list(map(_twin_units, _sieved_segments(limit, segment_size, twins=True, shard=shard)))
     return sum(count for count, _ in pairs), sum(units for _, units in pairs)
+
+
+def _map_shards(fold, limit: int, segment_size: int, cap: int | None = None) -> list:
+    """[fold(shard)] for the shards (i, n) of [3, limit]'s segments: n forked
+    processes fold one each, n = min(cap, segments // 6, usable CPUs), as a
+    pool pays from six segments a worker; with n < 2 or no ``fork`` the
+    calling process folds (0, 1).  ``fold`` must be picklable."""
+    segments = len(range(3, limit + 1, segment_size)) if segment_size >= 2 else 0
+    # the CPUs this process may run on: its affinity set, where the platform has one
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n = min(segments // 6, cpus or 1, segments if cap is None else cap)
+    if n > 1:  # a serial pass imports neither
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+    if n < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fold((0, 1))]
+    # forked workers inherit numpy, spawned ones would import it again
+    with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fold, [(i, n) for i in range(n)]))
 
 
 def census(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE, threads: int = 1) -> TwinCensus:
@@ -185,27 +206,17 @@ def census(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE, threads: int = 
     The sum is added in units of 2^-61, each 1/q as floor(2^61 / q).  A
     floor loses less than one unit, so the exact sum lies in
     [units, units + 2 pi2] * 2^-61; that bracket is rounded outward once.
-    Up to min(threads, segments // 6, CPUs) forked processes sieve one
-    shard each; a pool pays from six segments a worker.  ``segment_size``
-    and ``threads`` (at least 1) are performance knobs only: every choice
-    yields the same pi2 and bit-identical brun_partial endpoints.
+    Up to ``threads`` forked processes sieve a shard each (``_map_shards``).
+    ``segment_size`` and ``threads`` (at least 1) are performance knobs
+    only: every choice yields the same pi2 and bit-identical brun_partial
+    endpoints.
     """
     if limit < 0:
         raise ValueError(f"negative limit: {limit}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1: {threads}")
-    segments = len(range(3, limit + 1, segment_size)) if segment_size >= 2 else 0
-    n = min(threads, segments // 6, os.cpu_count() or 1)
-    if n > 1:  # a serial census imports neither
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-    if n < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        shares = [_census_units(limit, segment_size)]
-    else:  # forked workers inherit numpy, spawned ones would import it again
-        with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork")) as pool:
-            shards = [(i, n) for i in range(n)]
-            shares = list(pool.map(_census_units, [limit] * n, [segment_size] * n, shards))
-    pi2, units = map(sum, zip(*shares))
+    fold = functools.partial(_census_units, limit, segment_size)
+    pi2, units = map(sum, zip(*_map_shards(fold, limit, segment_size, threads)))
     partial = _frac_bracket(Fraction(units, _SCALE), Fraction(units + 2 * pi2, _SCALE))
     return TwinCensus(limit=limit, pi2=pi2, brun_partial=partial)
 

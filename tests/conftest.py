@@ -1,9 +1,17 @@
 """Helpers shared by the test modules: exact-bit pins of enclosures, and a
-stand-in process pool that records what ``census`` asks of it."""
+stand-in process pool that records what ``census`` and the Euler log sums
+ask of it (``sieve._map_shards``) and folds their shards in-process, so that
+a ``terms`` closure or a recording side effect works under it."""
 
 import concurrent.futures
+import os
 
 import pytest
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, which cap every pool's workers."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def hex_ends(iv) -> tuple:
@@ -37,7 +45,7 @@ class _RecordingPool:
 
 @pytest.fixture
 def pool_requests(monkeypatch):
-    """(max_workers, start method) of every pool a census opens; none start."""
+    """(max_workers, start method) of every pool ``_map_shards`` opens; none start."""
     requests = []
     monkeypatch.setattr(
         concurrent.futures,

@@ -177,7 +177,7 @@ def test_03_product_bound():
 
 @pytest.mark.skipif(
     not os.environ.get("BRUN_ACCEPT_LONG"),
-    reason="1e10 product bound, about 1 min; set BRUN_ACCEPT_LONG=1 to run",
+    reason="1e10 product bound, about 25 s on 2 vCPUs; set BRUN_ACCEPT_LONG=1 to run",
 )
 def test_03_product_bound_extended():
     """Full 1e10 product bound reproduces the published checkpoint values."""

@@ -15,6 +15,7 @@ from brun import __version__, cli, sieve, tables
 from brun.cli import main
 from brun.interval import Interval, _frac_bracket
 from brun.sieve import TwinCensus
+from conftest import usable_cpus
 
 FIXTURE_TABLE = "tests/fixtures/census_excerpt.txt"
 CERTIFY_NUMERIC = [
@@ -220,8 +221,8 @@ class TestCensus:
         args = ["census", "--limit", "1e5", "--segment-size", "4096"]
         assert main(args + ["--threads", "1000000"]) == 0
         capped = capsys.readouterr().out
-        assert all(n <= os.cpu_count() for n, _ in pool_requests)
-        assert len(pool_requests) == ((os.cpu_count() or 1) > 1)
+        assert all(n <= usable_cpus() for n, _ in pool_requests)
+        assert len(pool_requests) == (usable_cpus() > 1)
         assert main(args) == 0
         assert capsys.readouterr().out == capped
 
@@ -236,7 +237,7 @@ class TestCensus:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(
-        (os.cpu_count() or 1) < 2 or "fork" not in multiprocessing.get_all_start_methods(),
+        usable_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods(),
         reason="census runs in the calling process",
     )
     def test_killed_worker_is_computation_error(self, monkeypatch, capsys):

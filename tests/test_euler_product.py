@@ -1,6 +1,8 @@
 """Density series g, the H product bound, and the twin prime constant."""
 
+import functools
 import math
+import multiprocessing
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -17,6 +19,7 @@ from brun.euler_product import (
     _h_local_log_terms,
     _log_sum,
     _segment_sum,
+    _shard_log_sum,
     _twin_local_log_terms,
     g_factor_log,
     g_value,
@@ -25,7 +28,7 @@ from brun.euler_product import (
 )
 from brun.interval import Interval
 from brun.rv_bound import DEFAULT_H_LOG
-from conftest import assert_pinned, hex_ends
+from conftest import assert_pinned, hex_ends, usable_cpus
 
 # frozen 30-digit references, computed independently
 GFL_3 = Decimal("1.92322629793825809250042793358")
@@ -95,6 +98,7 @@ class TestLocalFactorLog:
                 g_factor_log(3, s)
 
 
+@pytest.mark.usefixtures("pool_requests")  # terms closures record blocks in-process
 class TestPrimeBlocks:
     """The prime blocks both products sum: one per class array of a segment."""
 
@@ -125,11 +129,13 @@ class TestPrimeBlocks:
             assert len(blocks) == 3 * (cutoff >= 3)
             self.check(cutoff, blocks, pi_cutoff)
 
-    def test_short_segments(self, monkeypatch):
+    def test_short_segments(self, monkeypatch, pool_requests):
+        # from 6 segments a worker the shards are folded in turn, in-process
         for segment in (2, 7, 30):
             monkeypatch.setattr(euler_product, "DEFAULT_SEGMENT_SIZE", segment)
             for cutoff in range(401):
                 self.check(cutoff, *self.fold(cutoff))
+        assert bool(pool_requests) == (usable_cpus() >= 2)
 
     def test_class_order_leaves_bits(self, monkeypatch):
         # every part of every segment is added exactly, so the order in which
@@ -263,6 +269,7 @@ class TestVectorPad:
         assert worst <= _VEC_PAD / 2, worst / _VEC_PAD
 
 
+@pytest.mark.usefixtures("pool_requests")  # short segments: shards folded in-process
 class TestLogSum:
     """The exact sum of the float terms, padded once, against a 40-digit oracle."""
 
@@ -297,6 +304,40 @@ class TestLogSum:
         for segment in segments:
             monkeypatch.setattr(euler_product, "DEFAULT_SEGMENT_SIZE", segment)
             assert ends() == default, segment
+
+
+class TestProductPool:
+    """Both products fold shards of their segments in forked workers."""
+
+    def test_pool_from_six_segments_a_worker(self, pool_requests):
+        # 1e8 is 12 default segments, six for each of two workers; 1e7 is 2
+        h_bound(10**7, Fraction(2, 5))
+        assert pool_requests == []
+        expected = [(2, "fork")] if usable_cpus() >= 2 else []
+        h_bound(10**8, Fraction(2, 5))
+        assert pool_requests == expected
+        pool_requests.clear()
+        twin_constant(10**8)
+        assert pool_requests == expected
+
+    @pytest.mark.parametrize("segment", [7, 30])
+    def test_shares_add_up_exactly(self, monkeypatch, segment):
+        monkeypatch.setattr(euler_product, "DEFAULT_SEGMENT_SIZE", segment)
+        h_terms = functools.partial(_h_local_log_terms, alpha=Fraction(2, 5))
+        for terms in (_twin_local_log_terms, h_terms):
+            serial = _shard_log_sum(10**4, terms, (0, 1))
+            assert serial[0] == 1228 and isinstance(serial[1], Fraction)
+            for n in (1, 2, 3, 5):
+                shares = [_shard_log_sum(10**4, terms, (i, n)) for i in range(n)]
+                assert tuple(map(sum, zip(*shares))) == serial, n
+
+    @pytest.mark.skipif(
+        usable_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods(),
+        reason="h_bound runs in the calling process",
+    )
+    def test_workers_exit(self):
+        h_bound(10**8, Fraction(2, 5))
+        assert multiprocessing.active_children() == []
 
 
 class TestHBound:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brun.euler_product import h_bound
 from brun.sieve import (
     DEFAULT_SEGMENT_SIZE,
     _sieved_segments,
@@ -19,7 +20,7 @@ from brun.sieve import (
     prime_count,
     twin_lower_members,
 )
-from conftest import assert_pinned
+from conftest import assert_pinned, usable_cpus
 
 
 def is_prime(n: int) -> bool:
@@ -204,8 +205,8 @@ class TestWorkers:
     def test_worker_count_is_capped(self, pool_requests):
         reference = census(10**5, segment_size=4096)
         assert census(10**5, segment_size=4096, threads=10**6) == reference
-        assert all(n <= os.cpu_count() and method == "fork" for n, method in pool_requests)
-        assert len(pool_requests) == ((os.cpu_count() or 1) > 1)
+        assert all(n <= usable_cpus() and method == "fork" for n, method in pool_requests)
+        assert len(pool_requests) == (usable_cpus() > 1)
 
     def test_one_segment_opens_no_pool(self, pool_requests):
         assert census(10**5, threads=8) == census(10**5)
@@ -217,7 +218,14 @@ class TestWorkers:
         census(10**7, threads=2)
         assert pool_requests == []
         census(10**8, threads=2)
-        assert pool_requests == ([(2, "fork")] if (os.cpu_count() or 1) >= 2 else [])
+        assert pool_requests == ([(2, "fork")] if usable_cpus() >= 2 else [])
+
+    def test_one_usable_cpu_opens_no_pool(self, monkeypatch, pool_requests):
+        # a process pinned to one CPU folds serially, whatever os.cpu_count() says
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        census(10**8, threads=2)
+        h_bound(10**8, Fraction(2, 5))
+        assert pool_requests == []
 
 
 def nested_in(c, outer: tuple) -> bool:
