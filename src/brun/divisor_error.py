@@ -21,7 +21,9 @@ jumps at integers, so endpoint values dominate; it walks n in blocks
 small enough for their temporaries to stay in cache.
 
 The prefix sums D(n) are exact int64 sums of the terms d(m)/m floored to
-units of 2^-52, rounded outward once on conversion to float.  Every
+units of 2^-52, rounded outward once on conversion to float, in one
+block walk (``_unit_blocks``) that serves ``divisor_sum`` and the scan.
+The counts are int32: d(n) <= 2 sqrt(n) < 2^31 for n < 2^60.  Every
 other float in the pipeline carries directed rounding: one-ulp steps on
 the float64 bit pattern (``interval._vdn``/``_vup``, equal to
 np.nextafter) for single operations and a relative pad for np.power.
@@ -59,8 +61,9 @@ _C0 = GAMMA0 * GAMMA0 - 2 * GAMMA1  # A(1), positive
 # ln(x) * u/2 relative, the evaluation another couple of ulps
 _POW_PAD = 2e-14
 
-# n per scan block: the block's few dozen float64 temporaries stay in L2
-_BLOCK = 1 << 15
+# n per block of the D(n) walk: the scan's float64 temporaries take about
+# 1.3 MB, and scan_c(2/5, 1e6) peaks at 5.3 MiB (6.8 at 2^14, 9.8 at 2^15)
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ class DivisorErrorScan:
 def _divisor_counts(xmax: int) -> np.ndarray:
     # divisors pair up as k <= n/k: each k <= sqrt(n) counts itself and
     # its cofactor, once only when n = k^2
-    counts = np.zeros(xmax, dtype=np.int64)
+    counts = np.zeros(xmax, dtype=np.int32)
     for k in range(1, math.isqrt(xmax) + 1):
         counts[k * k - 1 :: k] += 2
         counts[k * k - 1] -= 1
@@ -86,15 +89,29 @@ def _divisor_counts(xmax: int) -> np.ndarray:
 
 
 def _checked_counts(xmax: int) -> np.ndarray:
-    """d(n) for n = 1..xmax, whose terms and sums fit int64 units of 2^-52.
+    """int32 d(n) for n = 1..xmax, whose terms and sums fit int64 units of 2^-52.
 
-    A term's d(m) * 2^52 fits in int64 while d(m) < 2^11; so does the
-    sum, as D(n) < 2^11 for n < e^60, far beyond any array in memory.
+    A term's d(m) * 2^52, widened to int64, fits while d(m) < 2^11; so
+    does the sum, as D(n) < 2^11 for n < e^60, beyond any array in memory.
     """
     counts = _divisor_counts(xmax)
     if counts.max() >= 1 << 11:
         raise ValueError(f"divisor counts up to {xmax} overflow int64 units")
     return counts
+
+
+def _unit_blocks(xmax: int):
+    """Yield each block's int64 points n and the exact int64 units of D(n)."""
+    counts = _checked_counts(xmax)
+    units = 0  # of D(n0 - 1)
+    for n0 in range(1, xmax + 1, _BLOCK):
+        n = np.arange(n0, min(n0 + _BLOCK, xmax + 1), dtype=np.int64)
+        # widen first: numpy keeps an int32 shift in int32
+        terms = (counts[n0 - 1 : n0 - 1 + len(n)].astype(np.int64) << 52) // n
+        terms[0] += units
+        block_units = np.cumsum(terms, out=terms)
+        units = int(block_units[-1])
+        yield n, block_units
 
 
 def _sum_bounds(units, n):
@@ -127,8 +144,9 @@ def divisor_sum(x: int) -> Interval:
     """Enclosure of D(x) = sum_{n <= x} d(n)/n."""
     if x < 1:
         raise ValueError(f"divisor_sum needs x >= 1: {x}")
-    n = np.arange(1, x + 1, dtype=np.int64)
-    lo, hi = _sum_bounds(((_checked_counts(x) << 52) // n).sum(), x)
+    for _, units in _unit_blocks(x):
+        pass
+    lo, hi = _sum_bounds(units[-1], x)
     return Interval(lo, hi)
 
 
@@ -184,21 +202,13 @@ def _head_supremum(alpha: Interval) -> tuple:
 def _scan_supremum(alpha: Fraction, xmax: int) -> tuple:
     """Supremum of |E(x)| x^alpha over [1, xmax], plus its location.
 
-    The walk over n = 1..xmax goes in blocks of ``_BLOCK``, carrying the
-    exact units of D(n) into the next block and keeping the running
+    The walk over n = 1..xmax is ``_unit_blocks``'s, keeping the running
     maximum of the upper bound and the first argmax of the lower bound.
     """
-    counts = _checked_counts(xmax)
     af = float(alpha)
-    units = 0  # of D(n0 - 1)
     upper, lower, where = 0.0, -math.inf, 1.0
-    for n0 in range(1, xmax + 1, _BLOCK):
-        n1 = min(n0 + _BLOCK, xmax + 1)  # the block is n0 <= n < n1
-        n = np.arange(n0, n1, dtype=np.int64)
-        terms = (counts[n0 - 1 : n1 - 1] << 52) // n
-        terms[0] += units
-        block_units = np.cumsum(terms, out=terms)
-        units = int(block_units[-1])
+    for n, block_units in _unit_blocks(xmax):
+        n0, n1 = int(n[0]), int(n[-1]) + 1  # the block is n0 <= n < n1
         s_lo, s_hi = _sum_bounds(block_units, n)
         # A(m) and m^alpha also at m = n1, the next block's first point
         m = np.arange(n0, min(n1, xmax) + 1, dtype=np.float64)

@@ -45,8 +45,14 @@ __all__ = [
     "twin_constant",
 ]
 
-#: Chebyshev-type upper bound pi(t) <= (1 + 1.2762/log t) t/log t holds
-#: from here on; tail estimates refuse smaller cutoffs.
+#: K in the Chebyshev-type upper bound pi(t) <= (1 + K/log t) t/log t,
+#: used by both Euler tails for t >= _PI_BOUND_FLOOR.  Usually cited from
+#: Dusart 1999 (Math. Comp. 68), not checked against the paper offline;
+#: tests/test_explicit.py checks it at every prime up to 1e8.
+_PI_BOUND_K = Fraction("1.2762")
+
+#: Tail estimates refuse cutoffs below this.  The bound above holds at
+#: every prime below it as well, so it does not set the floor.
 _PI_BOUND_FLOOR = 599
 
 # blanket relative error bound for one float64 log term against its
@@ -191,7 +197,7 @@ def _twin_local_log_terms(pf: np.ndarray) -> np.ndarray:
 
 
 def _chebyshev_k2(cutoff_iv: Interval) -> Interval:
-    return Interval.from_fraction(Fraction("1.2762")) / cutoff_iv.log() + 1
+    return Interval.from_fraction(_PI_BOUND_K) / cutoff_iv.log() + 1
 
 
 @dataclass(frozen=True)

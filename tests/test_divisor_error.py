@@ -228,7 +228,7 @@ class TestDivisorSum:
         counts = divisor_counts_by_multiples(300)
         for xmax in range(1, 301):
             got = _divisor_counts(xmax)
-            assert got.dtype == np.int64
+            assert got.dtype == np.int32
             assert got.tolist() == counts[1 : xmax + 1], xmax
 
     def test_small_exact(self):
@@ -252,6 +252,8 @@ class TestDivisorSum:
         monkeypatch.setattr(divisor_error, "_divisor_counts", counts)
         with pytest.raises(ValueError, match="overflow"):
             divisor_sum(10)
+        with pytest.raises(ValueError, match="overflow"):
+            scan_c(Fraction(2, 5), 10)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -369,6 +371,15 @@ class TestScan:
                 assert hex_ends(got) == hex_ends(ref), (block, case)
                 assert got_at.hex() == ref_at.hex(), (block, case)
 
+    def test_block_size_invariant_divisor_sum(self, monkeypatch):
+        # the last block's last unit is D(x) whatever the block ends
+        xs = (1, 2, 3, 7, 8, 15, 2000)
+        want = {x: hex_ends(divisor_sum(x)) for x in xs}
+        for block in (1, 2, 3, 7):
+            monkeypatch.setattr(divisor_error, "_BLOCK", block)
+            for x in xs:
+                assert hex_ends(divisor_sum(x)) == want[x], (block, x)
+
     def test_first_argmax_on_ties(self, monkeypatch):
         # a model window wide enough to hold every D(n) gives each point the
         # same achieved value, so the location must stay at n = 1
@@ -382,16 +393,27 @@ class TestScan:
             assert scanned.lo == 0.0
             assert where == 1.0, block
 
-    def test_memory_peak(self):
-        # one whole-range array of divisor counts (8 MB) plus one block of
-        # temporaries; whole-range float temporaries peaked above 100 MiB
+    @staticmethod
+    def traced_peak_mib(call, *args):
         tracemalloc.start()
         try:
-            scan_c(Fraction(2, 5), 10**6)
-            peak = tracemalloc.get_traced_memory()[1]
+            call(*args)
+            return tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20, peak / 2**20
+
+    def test_memory_peak(self):
+        # one whole-range array of int32 divisor counts (4 MB) plus one
+        # block of temporaries (about 1.3 MB); int64 counts in blocks of
+        # 2^15 peaked at 13.6 MiB
+        peak = self.traced_peak_mib(scan_c, Fraction(2, 5), 10**6)
+        assert peak < 7, peak
+
+    def test_memory_peak_divisor_sum(self):
+        # the same counts and one block of int64 units; three whole-range
+        # int64 arrays peaked at 15.3 MiB
+        peak = self.traced_peak_mib(divisor_sum, 10**6)
+        assert peak < 6, peak
 
     def test_deterministic(self):
         a = scan_c(Fraction(1, 3), 2000)
