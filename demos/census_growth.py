@@ -7,14 +7,14 @@ painfully slowly: squaring the threshold moves the sum by roughly the
 same small increment every time, which is why certified bounds need the
 sieve-theoretic tail machinery instead of raw summation.
 
-The last block repeats one census with different segment sizes, the
-default among them, to show the enclosure is bit-identical regardless of
-how the range is split.
+The last block repeats one census on one and on two worker processes,
+which sieve the segments in different shards, to show the enclosure is
+bit-identical regardless of how the work is split.
 """
 
 import time
 
-from brun.sieve import DEFAULT_SEGMENT_SIZE, census
+from brun.sieve import census
 
 
 def main():
@@ -32,10 +32,10 @@ def main():
 
     print()
     print("partition independence at 10^8:")
-    for segment_size in (10007, 1 << 20, 1 << 22, DEFAULT_SEGMENT_SIZE):
-        result = census(10**8, segment_size=segment_size)
+    for threads in (1, 2):
+        result = census(10**8, threads=threads)
         print(
-            f"  segment_size={segment_size:<8}  pi2={result.pi2}  "
+            f"  threads={threads}  pi2={result.pi2}  "
             f"lo={result.brun_partial.lo.hex()}  hi={result.brun_partial.hi.hex()}"
         )
 

@@ -18,7 +18,7 @@ for certify) through one JSON encoder.  An interval is written as
 exact hex doubles.  A rational is written as exact text ("2/5").  File
 inputs carry their sha256 hashes.  No timestamps, no environment
 capture: reruns with the same inputs are byte-identical, whatever the
-segment size.  Exit codes: 0 success, 1 usage error, 2 computation
+worker count.  Exit codes: 0 success, 1 usage error, 2 computation
 error (running out of memory included).
 """
 
@@ -41,7 +41,7 @@ from .euler_product import h_bound
 from .interval import Interval, _frac_bracket
 from .projection import DEFAULT_B_ASSUMED, project_table
 from .rv_bound import DEFAULT_WIDTH_TARGET, brun_upper, derive_params
-from .sieve import DEFAULT_SEGMENT_SIZE, TwinCensus, census
+from .sieve import TwinCensus, census
 from .tables import (
     DEFAULT_BASE_ENCLOSURE,
     DEFAULT_BASE_THRESHOLD,
@@ -120,13 +120,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _segment_size(text: str) -> int:
-    value = _exact_int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2: {text!r}")
-    return value
-
-
 def _positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -199,12 +192,11 @@ def _print_census(result: TwinCensus) -> None:
 
 
 def _cmd_census(args: argparse.Namespace) -> dict:
-    result = census(args.limit, segment_size=args.segment_size, threads=args.threads)
+    result = census(args.limit, threads=args.threads)
     _print_census(result)
     if args.emit_table:
         Path(args.emit_table).write_text(emit_table([_entry_at(args.limit, result.pi2)]))
-    # segment size and thread count have no effect on results, so they
-    # stay out of the artifact
+    # the thread count has no effect on results, so it stays out of the artifact
     return _report(result, "limit")
 
 
@@ -316,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("census", help="sieve an exact census up to a limit")
     p.add_argument("--limit", type=_positive_int, required=True)
-    p.add_argument("--segment-size", type=_segment_size, default=DEFAULT_SEGMENT_SIZE)
     p.add_argument(
         "--threads",
         type=_positive_int,

@@ -49,10 +49,12 @@ __all__ = [
     "scan_c",
 ]
 
-#: Coarse enclosures of the Euler-Mascheroni constant and the first
-#: Stieltjes constant.  Deliberately seven digits wide: the downstream
-#: constants were derived with exactly these windows, and the scan
-#: results are insensitive to the extra width.
+#: Coarse enclosures of the Euler-Mascheroni constant g0 = 0.5772156649...
+#: and the first Stieltjes constant g1 = -0.0728158454... (tested against
+#: mpmath).  Deliberately seven digits wide: the downstream constants were
+#: derived with exactly these windows, and the scan results are insensitive
+#: to the extra width.  A(x) is Riesel & Vaughan's model (1983, Ark. Mat. 21;
+#: their E bound at alpha = 1/3 is c = 1.641; lemma not checked offline).
 GAMMA0 = Interval(0.5772156, 0.5772157)
 GAMMA1 = Interval(-0.0728159, -0.0728158)
 _C0 = GAMMA0 * GAMMA0 - 2 * GAMMA1  # A(1), positive

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .interval import Interval, _frac_bracket, ei_neg, rational_pow
-from .sieve import DEFAULT_SEGMENT_SIZE, _map_shards, _Segment, _sieved_segments
+from .sieve import _map_shards, _Segment, _sieved_segments
 
 __all__ = [
     "HBoundReport",
@@ -146,7 +146,7 @@ def _segment_sum(arrays) -> list:
 
 def _shard_log_sum(cutoff: int, terms, shard: tuple) -> tuple:
     """(members, exact sum of the ``_segment_sum`` parts) of one shard's segments."""
-    segments = _sieved_segments(cutoff, DEFAULT_SEGMENT_SIZE, shard=shard)
+    segments = _sieved_segments(cutoff, shard=shard)
     count, total = 0, Fraction(0)
     for parts in map(_Segment.members, segments):
         count += sum(map(len, parts))
@@ -169,7 +169,7 @@ def _log_sum(cutoff: int, terms) -> tuple:
     # number, twin terms log1p(-1/(p-1)^2) < 0), so sum |y| = |Y| and
     # |T - Y| <= eps |Y|.
     fold = functools.partial(_shard_log_sum, cutoff, terms)
-    count, total = map(sum, zip(*_map_shards(fold, cutoff, DEFAULT_SEGMENT_SIZE)))
+    count, total = map(sum, zip(*_map_shards(fold, cutoff)))
     pad = Fraction(_VEC_PAD) * abs(total)
     return _frac_bracket(total - pad, total + pad), count + (cutoff >= 2)  # the prime 2
 

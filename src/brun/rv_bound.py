@@ -94,7 +94,9 @@ class RVParams:
 
 
 def _default_rho() -> Interval:
-    # rho = sqrt(1 + (2/3) sqrt(6/5)), the optimized sieve level ratio
+    # rho = sqrt(1 + (2/3) sqrt(6/5)), the optimized sieve level ratio.  It and the
+    # literals of derive_params are the source paper's (arXiv:1803.01925), after
+    # Riesel & Vaughan 1983 (Ark. Mat. 21); lemma numbers are not checked offline
     inner = Interval.from_fraction(Fraction(6, 5)).sqrt()
     return (Interval.from_fraction(Fraction(2, 3)) * inner + 1).sqrt()
 
@@ -110,8 +112,9 @@ def derive_params(
 
     ``twin_c``, ``h`` and ``scan_bound`` are enclosures of C, H and the
     divisor-error constant c at alpha = 2/5; each defaults to its
-    literal.  With all arguments defaulted this reproduces the published
-    constant set:
+    literal.  With all arguments defaulted this reproduces the source paper's
+    published a6 > 8.72606, a7 > -8.13199, a8 < 22267.54, a9 ~ 27.63359
+    (acceptance 02):
 
         a6 = 9.27436 - 2 log rho
         a7 = -5.6646 + log^2 rho - 9.2744 log rho
@@ -132,9 +135,9 @@ def derive_params(
 
     rho = _default_rho()
     log_rho = rho.log()
-    a6 = Interval.from_decimal(Decimal("9.27436")) - 2 * log_rho
+    a6 = Interval.from_decimal(Decimal("9.27436")) - 2 * log_rho  # F's constant term
     a7 = (
-        Interval.from_decimal(Decimal("-5.6646"))
+        Interval.from_decimal(Decimal("-5.6646"))  # F's 1/log x term, quadratic in log rho
         + log_rho * log_rho
         - Interval.from_decimal(Decimal("9.2744")) * log_rho
     )
@@ -143,14 +146,14 @@ def derive_params(
         rho, half_alpha.numerator, half_alpha.denominator
     )
     if improved_at is None:
-        a9 = Interval.from_decimal(Decimal("24.09391")) * rho.sqrt()
-        kappa = Interval(2.0, 2.0)
+        a9 = Interval.from_decimal(Decimal("24.09391")) * rho.sqrt()  # F's x^(-1/2) term
+        kappa = Interval(2.0, 2.0)  # the sqrt(x) coefficient of the counting bound
         valid_from = 2
     else:
         x0_iv = Interval.from_int(improved_at)
         if x0_iv.lo <= rho.hi:
             raise ValueError(f"anchor too small for the improved variant: {improved_at}")
-        a9 = Interval.from_decimal(Decimal("19.638")) * rho.sqrt()
+        a9 = Interval.from_decimal(Decimal("19.638")) * rho.sqrt()  # and 5.03: sharper, x >= x0
         kappa = rational_pow(x0_iv, -1, 2) + Interval.from_decimal(
             Decimal("5.03")
         ) / (rho.sqrt() * (x0_iv / rho).log())

@@ -107,19 +107,25 @@ class _Segment:
         return int(sum(map(np.count_nonzero, self.masks))) + (self.lo == 3)
 
 
-def _sieved_segments(limit: int, segment_size: int, twins: bool = False, shard: tuple = (0, 1)):
+def _segment_starts(limit: int) -> range:
+    """The starts of [3, limit]'s segments, DEFAULT_SEGMENT_SIZE apart (read here, at
+    call time), less a last start that is even and equal to limit: it holds no odd number."""
+    starts = range(3, limit + 1, DEFAULT_SEGMENT_SIZE)
+    return starts[:-1] if limit % 2 == 0 and starts and starts[-1] == limit else starts
+
+
+def _sieved_segments(limit: int, twins: bool = False, shard: tuple = (0, 1)):
     """Yield the ``_Segment``s of [3, limit], ascending.
 
-    Segments hold segment_size numbers, the last one fewer; lo is the
-    segment start rounded up to odd.  ``twins`` yields twin segments;
-    ``shard`` = (i, n) only segments i, i + n, ..., spreading the top ones.
-    Consumers ``map`` over it, which frees each segment before the next
-    is sieved; under glibc, holding one across the next sieve cost
+    Each runs from one of ``_segment_starts(limit)`` to the next, the last
+    to limit; lo is its start rounded up to odd.  ``twins`` yields twin
+    segments; ``shard`` = (i, n) only segments i, i + n, ..., spreading the
+    top ones.  Consumers ``map`` over it, which frees each segment before
+    the next is sieved; under glibc, holding one across the next sieve cost
     census(1e9) 42k page faults, not 2.6k.
     """
-    if segment_size < 2:
-        raise ValueError(f"segment_size too small: {segment_size}")
-    if limit < 3:
+    starts = _segment_starts(limit)
+    if not starts:
         return
     # below 17 the wheel and the pattern have done the work; each base
     # prime crosses off, in each class, the k = root (mod p) from p^2 on
@@ -160,11 +166,8 @@ def _sieved_segments(limit: int, segment_size: int, twins: bool = False, shard: 
         return _Segment(lo, k0, tuple(masks))
 
     i, n = shard
-    for a in range(3 + i * segment_size, limit + 1, n * segment_size):
-        lo = a if a % 2 == 1 else a + 1
-        b = min(a + segment_size - 1, limit)
-        if lo <= b:
-            yield sieve(lo, b)
+    for a in starts[i::n]:
+        yield sieve(a | 1, min(a + starts.step - 1, limit))
 
 
 def _twin_units(segment: _Segment):
@@ -175,18 +178,18 @@ def _twin_units(segment: _Segment):
     return sum(map(len, parts)), sum(int((_SCALE // p + _SCALE // (p + 2)).sum()) for p in parts)
 
 
-def _census_units(limit: int, segment_size: int, shard: tuple) -> tuple:
+def _census_units(limit: int, shard: tuple) -> tuple:
     """(pi2, units) of one shard's twin segments: ``_twin_units`` added up."""
-    pairs = list(map(_twin_units, _sieved_segments(limit, segment_size, twins=True, shard=shard)))
+    pairs = list(map(_twin_units, _sieved_segments(limit, twins=True, shard=shard)))
     return sum(count for count, _ in pairs), sum(units for _, units in pairs)
 
 
-def _map_shards(fold, limit: int, segment_size: int, cap: int | None = None) -> list:
+def _map_shards(fold, limit: int, cap: int | None = None) -> list:
     """[fold(shard)] for the shards (i, n) of [3, limit]'s segments: n forked
     processes fold one each, n = min(cap, segments // 6, usable CPUs), as a
-    pool pays from six segments a worker; with n < 2 or no ``fork`` the
-    calling process folds (0, 1).  ``fold`` must be picklable."""
-    segments = len(range(3, limit + 1, segment_size)) if segment_size >= 2 else 0
+    pool pays from six segments (``_segment_starts``) a worker; with n < 2
+    or no ``fork`` the calling process folds (0, 1).  ``fold`` must be picklable."""
+    segments = len(_segment_starts(limit))
     # the CPUs this process may run on: its affinity set, where the platform has one
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n = min(segments // 6, cpus or 1, segments if cap is None else cap)
@@ -200,35 +203,35 @@ def _map_shards(fold, limit: int, segment_size: int, cap: int | None = None) -> 
         return list(pool.map(fold, [(i, n) for i in range(n)]))
 
 
-def census(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE, threads: int = 1) -> TwinCensus:
+def census(limit: int, threads: int = 1) -> TwinCensus:
     """Count twin pairs up to ``limit`` and enclose their reciprocal sum.
 
     The sum is added in units of 2^-61, each 1/q as floor(2^61 / q).  A
     floor loses less than one unit, so the exact sum lies in
     [units, units + 2 pi2] * 2^-61; that bracket is rounded outward once.
     Up to ``threads`` forked processes sieve a shard each (``_map_shards``).
-    ``segment_size`` and ``threads`` (at least 1) are performance knobs
-    only: every choice yields the same pi2 and bit-identical brun_partial
+    ``threads`` (at least 1) is a performance knob only: every choice, and
+    every segment size, yields the same pi2 and bit-identical brun_partial
     endpoints.
     """
     if limit < 0:
         raise ValueError(f"negative limit: {limit}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1: {threads}")
-    fold = functools.partial(_census_units, limit, segment_size)
-    pi2, units = map(sum, zip(*_map_shards(fold, limit, segment_size, threads)))
+    fold = functools.partial(_census_units, limit)
+    pi2, units = map(sum, zip(*_map_shards(fold, limit, threads)))
     partial = _frac_bracket(Fraction(units, _SCALE), Fraction(units + 2 * pi2, _SCALE))
     return TwinCensus(limit=limit, pi2=pi2, brun_partial=partial)
 
 
-def twin_lower_members(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
+def twin_lower_members(limit: int) -> np.ndarray:
     """All p <= limit with p and p + 2 prime, ascending int64 array."""
-    segments = map(_Segment.members, _sieved_segments(limit, segment_size, twins=True))
+    segments = map(_Segment.members, _sieved_segments(limit, twins=True))
     parts = [p for members in segments for p in members]
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
-def prime_count(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
+def prime_count(limit: int) -> int:
     """pi(limit), exactly, by the same segmented machinery."""
-    odd = sum(map(_Segment.count, _sieved_segments(limit, segment_size)))
+    odd = sum(map(_Segment.count, _sieved_segments(limit)))
     return odd + 1 if limit >= 2 else 0  # the prime 2

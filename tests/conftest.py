@@ -1,17 +1,28 @@
-"""Helpers shared by the test modules: exact-bit pins of enclosures, and a
-stand-in process pool that records what ``census`` and the Euler log sums
-ask of it (``sieve._map_shards``) and folds their shards in-process, so that
-a ``terms`` closure or a recording side effect works under it."""
+"""Helpers shared by the test modules: exact-bit pins of enclosures, a
+patched sieve segment size, and a stand-in process pool that records what
+``census`` and the Euler log sums ask of it (``sieve._map_shards``) and
+folds their shards in-process, so that a ``terms`` closure or a recording
+side effect works under it."""
 
 import concurrent.futures
 import os
+from unittest import mock
 
 import pytest
+
+from brun import sieve
 
 
 def usable_cpus() -> int:
     """The CPUs this process may run on, which cap every pool's workers."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def segment_size(size: int):
+    """A context manager that sets ``sieve.DEFAULT_SEGMENT_SIZE``, the one
+    segment size, to ``size``.  Unlike ``monkeypatch`` it works inside a
+    hypothesis ``@given`` body; forked workers inherit it."""
+    return mock.patch.object(sieve, "DEFAULT_SEGMENT_SIZE", size)
 
 
 def hex_ends(iv) -> tuple:

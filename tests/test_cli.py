@@ -15,7 +15,7 @@ from brun import __version__, cli, sieve, tables
 from brun.cli import main
 from brun.interval import Interval, _frac_bracket
 from brun.sieve import TwinCensus
-from conftest import usable_cpus
+from conftest import segment_size, usable_cpus
 
 FIXTURE_TABLE = "tests/fixtures/census_excerpt.txt"
 CERTIFY_NUMERIC = [
@@ -186,12 +186,9 @@ class TestCensus:
         assert "pi2 = 8169" in out
         assert "brun_partial in [1.71077693080" in out
 
-    def test_segment_size_below_two_is_a_usage_error(self, capsys):
-        for size in ("1", "0", "-3"):
-            assert main(["census", "--limit", "100", "--segment-size", size]) == 1
-            assert "--segment-size: must be at least 2" in capsys.readouterr().err
-        assert main(["census", "--limit", "100", "--segment-size", "2"]) == 0
-        assert "pi2 = 8" in capsys.readouterr().out
+    def test_segment_size_is_not_an_option(self, capsys):
+        assert main(["census", "--limit", "100", "--segment-size", "4096"]) == 1
+        assert "unrecognized arguments: --segment-size 4096" in capsys.readouterr().err
 
     def test_emit_table(self, tmp_path, capsys):
         path = tmp_path / "row.txt"
@@ -211,20 +208,22 @@ class TestCensus:
         b = tmp_path / "b.json"
         base = ["census", "--limit", "50000", "--json"]
         assert main(base + [str(a), "--threads", "1"]) == 0
-        assert main(base + [str(b), "--threads", "3", "--segment-size", "4096"]) == 0
+        with segment_size(4096):
+            assert main(base + [str(b), "--threads", "3"]) == 0
         assert a.read_bytes() == b.read_bytes()
         payload = json.loads(a.read_text())
         assert payload["pi2"] == 705
         assert "version" in payload
 
     def test_worker_count_is_capped(self, pool_requests, capsys):
-        args = ["census", "--limit", "1e5", "--segment-size", "4096"]
-        assert main(args + ["--threads", "1000000"]) == 0
-        capped = capsys.readouterr().out
-        assert all(n <= usable_cpus() for n, _ in pool_requests)
-        assert len(pool_requests) == (usable_cpus() > 1)
-        assert main(args) == 0
-        assert capsys.readouterr().out == capped
+        args = ["census", "--limit", "1e5"]
+        with segment_size(4096):
+            assert main(args + ["--threads", "1000000"]) == 0
+            capped = capsys.readouterr().out
+            assert all(n <= usable_cpus() for n, _ in pool_requests)
+            assert len(pool_requests) == (usable_cpus() > 1)
+            assert main(args) == 0
+            assert capsys.readouterr().out == capped
 
     def test_worker_error_is_computation_error(self, monkeypatch, capsys):
         def exhausted(segment):
@@ -232,7 +231,8 @@ class TestCensus:
 
         # forked workers inherit the patched module
         monkeypatch.setattr(sieve, "_twin_units", exhausted)
-        assert main(["census", "--limit", "1e6", "--segment-size", "4096", "--threads", "2"]) == 2
+        with segment_size(4096):
+            assert main(["census", "--limit", "1e6", "--threads", "2"]) == 2
         assert capsys.readouterr().err == "brun: Unable to allocate a segment\n"
         assert multiprocessing.active_children() == []
 
@@ -248,7 +248,8 @@ class TestCensus:
             os.kill(os.getpid(), signal.SIGKILL)
 
         monkeypatch.setattr(sieve, "_twin_units", killed)
-        assert main(["census", "--limit", "1e6", "--segment-size", "4096", "--threads", "2"]) == 2
+        with segment_size(4096):
+            assert main(["census", "--limit", "1e6", "--threads", "2"]) == 2
         assert capsys.readouterr().err.startswith("brun: A process in the process pool")
         assert multiprocessing.active_children() == []
 

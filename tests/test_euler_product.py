@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brun import euler_product, sieve
+from brun import sieve
 from brun.euler_product import (
     _VEC_PAD,
     _h_local_log_terms,
@@ -28,7 +28,7 @@ from brun.euler_product import (
 )
 from brun.interval import Interval
 from brun.rv_bound import DEFAULT_H_LOG
-from conftest import assert_pinned, hex_ends, usable_cpus
+from conftest import assert_pinned, hex_ends, segment_size, usable_cpus
 
 # frozen 30-digit references, computed independently
 GFL_3 = Decimal("1.92322629793825809250042793358")
@@ -129,12 +129,12 @@ class TestPrimeBlocks:
             assert len(blocks) == 3 * (cutoff >= 3)
             self.check(cutoff, blocks, pi_cutoff)
 
-    def test_short_segments(self, monkeypatch, pool_requests):
+    def test_short_segments(self, pool_requests):
         # from 6 segments a worker the shards are folded in turn, in-process
-        for segment in (2, 7, 30):
-            monkeypatch.setattr(euler_product, "DEFAULT_SEGMENT_SIZE", segment)
-            for cutoff in range(401):
-                self.check(cutoff, *self.fold(cutoff))
+        for size in (2, 7, 30):
+            with segment_size(size):
+                for cutoff in range(401):
+                    self.check(cutoff, *self.fold(cutoff))
         assert bool(pool_requests) == (usable_cpus() >= 2)
 
     def test_class_order_leaves_bits(self, monkeypatch):
@@ -274,9 +274,9 @@ class TestLogSum:
     """The exact sum of the float terms, padded once, against a 40-digit oracle."""
 
     @pytest.mark.parametrize("segment", [7, 30, 4096])
-    def test_twin_partial_sum_contains_oracle(self, monkeypatch, segment):
-        monkeypatch.setattr(euler_product, "DEFAULT_SEGMENT_SIZE", segment)
-        total, pi_cutoff = _log_sum(10**4, _twin_local_log_terms)
+    def test_twin_partial_sum_contains_oracle(self, segment):
+        with segment_size(segment):
+            total, pi_cutoff = _log_sum(10**4, _twin_local_log_terms)
         assert pi_cutoff == 1229
         with mpmath.workdps(40):
             exact = mpmath.fsum(
@@ -294,7 +294,7 @@ class TestLogSum:
         # sizes 7 and 30 would take 1.4M and 333k segments, minutes, at 1e7
         [(10**5, (7, 30, 4096, 10007, 1 << 20)), (10**7, (4096, 10007, 1 << 20))],
     )
-    def test_bits_do_not_depend_on_segment_size(self, monkeypatch, cutoff, segments):
+    def test_bits_do_not_depend_on_segment_size(self, cutoff, segments):
         def ends():
             report = h_bound(cutoff, Fraction(2, 5))
             return [hex_ends(report.partial_log_sum), hex_ends(report.log_bound),
@@ -302,8 +302,8 @@ class TestLogSum:
 
         default = ends()
         for segment in segments:
-            monkeypatch.setattr(euler_product, "DEFAULT_SEGMENT_SIZE", segment)
-            assert ends() == default, segment
+            with segment_size(segment):
+                assert ends() == default, segment
 
 
 class TestProductPool:
@@ -321,15 +321,15 @@ class TestProductPool:
         assert pool_requests == expected
 
     @pytest.mark.parametrize("segment", [7, 30])
-    def test_shares_add_up_exactly(self, monkeypatch, segment):
-        monkeypatch.setattr(euler_product, "DEFAULT_SEGMENT_SIZE", segment)
+    def test_shares_add_up_exactly(self, segment):
         h_terms = functools.partial(_h_local_log_terms, alpha=Fraction(2, 5))
-        for terms in (_twin_local_log_terms, h_terms):
-            serial = _shard_log_sum(10**4, terms, (0, 1))
-            assert serial[0] == 1228 and isinstance(serial[1], Fraction)
-            for n in (1, 2, 3, 5):
-                shares = [_shard_log_sum(10**4, terms, (i, n)) for i in range(n)]
-                assert tuple(map(sum, zip(*shares))) == serial, n
+        with segment_size(segment):
+            for terms in (_twin_local_log_terms, h_terms):
+                serial = _shard_log_sum(10**4, terms, (0, 1))
+                assert serial[0] == 1228 and isinstance(serial[1], Fraction)
+                for n in (1, 2, 3, 5):
+                    shares = [_shard_log_sum(10**4, terms, (i, n)) for i in range(n)]
+                    assert tuple(map(sum, zip(*shares))) == serial, n
 
     @pytest.mark.skipif(
         usable_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods(),

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 
 from brun.euler_product import _PI_BOUND_FLOOR, _PI_BOUND_K
-from brun.sieve import DEFAULT_SEGMENT_SIZE, _sieved_segments
+from brun.sieve import _sieved_segments
 
 PI_LIMIT = 10**8
 
@@ -22,7 +22,7 @@ def pi_bound_ratios(limit: int, k: Fraction) -> tuple:
     kf = float(k)
     primes, counts, ratios = [], [], []
     pi = 1  # the prime 2; the segments hold the odd primes
-    for seg in _sieved_segments(limit, DEFAULT_SEGMENT_SIZE):
+    for seg in _sieved_segments(limit):
         p = np.sort(np.concatenate(seg.members()))
         pi_p = pi + np.arange(1, len(p) + 1)
         pi += len(p)

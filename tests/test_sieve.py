@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 from brun.euler_product import h_bound
 from brun.sieve import (
     DEFAULT_SEGMENT_SIZE,
+    _map_shards,
+    _segment_starts,
     _sieved_segments,
     census,
     prime_count,
     twin_lower_members,
 )
-from conftest import assert_pinned, usable_cpus
+from conftest import assert_pinned, segment_size, usable_cpus
 
 
 def is_prime(n: int) -> bool:
@@ -40,21 +42,24 @@ def twins_by_trial_division(limit: int) -> list:
     return [p for p in range(3, limit + 1, 2) if is_prime(p) and is_prime(p + 2)]
 
 
-def primes_by_wheel(limit: int, segment_size: int) -> list:
+def primes_by_wheel(limit: int, size: int) -> list:
     """All primes <= limit from the segment kernel's own prime lists."""
-    segments = _sieved_segments(limit, segment_size)
+    with segment_size(size):
+        segments = list(_sieved_segments(limit))
     odd = sorted(int(p) for s in segments for part in s.members() for p in part)
     return ([2] if limit >= 2 else []) + odd
 
 
-def twins_by_two_masks(limit: int, segment_size: int) -> list:
+def twins_by_two_masks(limit: int, size: int) -> list:
     """Twin lower members <= limit from both class masks of two-mask segments.
 
     A pair split by a segment edge has its members in two segments, so the
     class masks are gathered by k before they are combined."""
     minus = np.zeros(limit // 6 + 2, dtype=bool)
     plus = np.zeros_like(minus)
-    for s in _sieved_segments(limit + 2, segment_size):
+    with segment_size(size):
+        segments = list(_sieved_segments(limit + 2))
+    for s in segments:
         for gathered, mask in zip((minus, plus), s.masks):
             gathered[s.k0 : s.k0 + len(mask)] |= mask
     p = 6 * np.nonzero(minus & plus)[0] - 1
@@ -137,16 +142,17 @@ class TestPartitionIndependence:
         reference = census(limit)
         primes = prime_count(limit)
         members = twin_lower_members(limit).tolist()
-        for segment_size in (4096, 10007, 1 << 16, limit * 2):
-            for threads in (1, 2, 3):
-                c = census(limit, segment_size=segment_size, threads=threads)
-                assert c == reference, (segment_size, threads)
-            assert prime_count(limit, segment_size=segment_size) == primes, segment_size
-            assert twin_lower_members(limit, segment_size).tolist() == members, segment_size
+        for size in (4096, 10007, 1 << 16, limit * 2):
+            with segment_size(size):
+                for threads in (1, 2, 3):
+                    assert census(limit, threads=threads) == reference, (size, threads)
+                assert prime_count(limit) == primes, size
+                assert twin_lower_members(limit).tolist() == members, size
 
     def test_boundary_splits_a_pair(self):
         # segment size 9 puts a boundary between 11 and 13
-        c = census(30, segment_size=9)
+        with segment_size(9):
+            c = census(30)
         assert c == census(30)
         assert c.pi2 == 5  # 3, 5, 11, 17, 29
 
@@ -155,13 +161,12 @@ class TestPartitionIndependence:
         st.integers(min_value=2, max_value=512),
     )
     @settings(max_examples=60, deadline=None)
-    def test_any_partition_is_identical(self, limit, segment_size):
-        a = census(limit, segment_size=segment_size)
-        b = census(limit)
-        assert a == b
-        assert prime_count(limit, segment_size) == prime_count(limit)
-        members = twin_lower_members(limit, segment_size).tolist()
-        assert members == twin_lower_members(limit).tolist()
+    def test_any_partition_is_identical(self, limit, size):
+        b, count, members = census(limit), prime_count(limit), twin_lower_members(limit).tolist()
+        with segment_size(size):
+            assert census(limit) == b
+            assert prime_count(limit) == count
+            assert twin_lower_members(limit).tolist() == members
 
     @given(st.integers(min_value=0, max_value=2000))
     @settings(max_examples=30, deadline=None)
@@ -173,22 +178,24 @@ class TestPartitionIndependence:
         st.integers(min_value=2, max_value=600),
     )
     @settings(max_examples=40, deadline=None)
-    def test_prime_count_matches_trial_division(self, limit, segment_size):
+    def test_prime_count_matches_trial_division(self, limit, size):
         expected = sum(1 for n in range(limit + 1) if is_prime(n))
-        assert prime_count(limit, segment_size) == expected
+        with segment_size(size):
+            assert prime_count(limit) == expected
 
 
 class TestWorkers:
     """census(threads=n) sieves interleaved shards in forked worker processes."""
 
-    @pytest.mark.parametrize("segment_size", (2, 9, 4096))
-    def test_threads_match_serial(self, segment_size):
+    @pytest.mark.parametrize("size", (2, 9, 4096))
+    def test_threads_match_serial(self, size):
         # too few segments for a pool, and size 9's boundary between 11 and 13
         # in a pool of 111 segments
         for limit in (0, 2, 3, 4, 5, 13, 100, 1000):
-            serial = census(limit, segment_size=segment_size)
-            for threads in (2, 3):
-                assert census(limit, segment_size, threads) == serial, (limit, threads)
+            with segment_size(size):
+                serial = census(limit)
+                for threads in (2, 3):
+                    assert census(limit, threads) == serial, (limit, threads)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("twins", (False, True))
@@ -196,15 +203,31 @@ class TestWorkers:
         def members(segments):
             return sorted(int(p) for s in segments for part in s.members() for p in part)
 
-        for limit, segment_size in ((100, 9), (5000, 64), (20000, 4096)):
-            whole = members(_sieved_segments(limit, segment_size, twins))
-            for n in (1, 2, 3, 5):
-                shards = [_sieved_segments(limit, segment_size, twins, shard=(i, n)) for i in range(n)]
-                assert members(s for shard in shards for s in shard) == whole, (limit, n)
+        for limit, size in ((100, 9), (5000, 64), (20000, 4096)):
+            with segment_size(size):
+                whole = members(_sieved_segments(limit, twins))
+                for n in (1, 2, 3, 5):
+                    shards = [_sieved_segments(limit, twins, shard=(i, n)) for i in range(n)]
+                    assert members(s for shard in shards for s in shard) == whole, (limit, n)
+
+    def test_pool_counts_the_segments_the_loop_yields(self, monkeypatch, pool_requests):
+        # a start that is even and the limit itself holds no odd number and
+        # yields no segment (size 9, limit 12: one segment, not two); with
+        # 10^6 usable CPUs the pool asks for (segments // 6) workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(10**6), raising=False)
+        for size in range(2, 20):
+            with segment_size(size):
+                for limit in range(301):
+                    yielded = sum(1 for _ in _sieved_segments(limit))
+                    assert len(_segment_starts(limit)) == yielded, (limit, size)
+                    shards = _map_shards(lambda shard: shard, limit)
+                    assert len(shards) == max(yielded // 6, 1), (limit, size)
+        assert pool_requests
 
     def test_worker_count_is_capped(self, pool_requests):
-        reference = census(10**5, segment_size=4096)
-        assert census(10**5, segment_size=4096, threads=10**6) == reference
+        with segment_size(4096):
+            reference = census(10**5)
+            assert census(10**5, threads=10**6) == reference
         assert all(n <= usable_cpus() and method == "fork" for n, method in pool_requests)
         assert len(pool_requests) == (usable_cpus() > 1)
 
@@ -248,7 +271,8 @@ class TestPinnedOutputs:
         assert nested_in(c, ("0x1.c241bd93c2c39p+0", "0x1.c241bd9499c2ap+0"))
 
     def test_census_odd_segment_threads(self):
-        c = census(10**7, segment_size=10007, threads=2)
+        with segment_size(10007):
+            c = census(10**7, threads=2)
         assert c.pi2 == 58980
         assert_pinned(
             c.brun_partial,
@@ -282,17 +306,17 @@ class TestWheelEdges:
             exact = sum(Fraction(2 * p + 2, p * (p + 2)) for p in twins)
             assert reference.pi2 == len(twins), limit
             assert Fraction(reference.brun_partial.lo) <= exact <= Fraction(reference.brun_partial.hi)
-            for segment_size in self.SEGMENTS:
-                assert prime_count(limit, segment_size) == count, (limit, segment_size)
-                members = twin_lower_members(limit, segment_size).tolist()
-                assert members == twins, (limit, segment_size)
-                assert census(limit, segment_size) == reference, (limit, segment_size)
+            for size in self.SEGMENTS:
+                with segment_size(size):
+                    assert prime_count(limit) == count, (limit, size)
+                    assert twin_lower_members(limit).tolist() == twins, (limit, size)
+                    assert census(limit) == reference, (limit, size)
 
     def test_presieved_primes_and_their_products(self):
-        for segment_size in self.SEGMENTS + (4096,):
-            primes = set(primes_by_wheel(200, segment_size))
-            assert {2, 3, 5, 7, 11, 13, 17, 19} <= primes, segment_size
-            assert not {25, 35, 49, 121, 143, 169} & primes, segment_size
+        for size in self.SEGMENTS + (4096,):
+            primes = set(primes_by_wheel(200, size))
+            assert {2, 3, 5, 7, 11, 13, 17, 19} <= primes, size
+            assert not {25, 35, 49, 121, 143, 169} & primes, size
             assert sorted(primes) == [n for n in range(201) if is_prime(n)]
 
     def test_limits_and_segments_across_the_period(self):
@@ -301,18 +325,19 @@ class TestWheelEdges:
             base = prime_count(center - 41)
             flags = [is_prime(n) for n in window]
             twins = twins_by_trial_division(center + 40)
-            for segment_size in (1000, center - 9, center + 4):
-                for i, limit in enumerate(window):
-                    expected = base + sum(flags[: i + 1])
-                    assert prime_count(limit, segment_size) == expected, (limit, segment_size)
-                    pairs = bisect_right(twins, limit)
-                    assert census(limit, segment_size).pi2 == pairs, (limit, segment_size)
+            for size in (1000, center - 9, center + 4):
+                with segment_size(size):
+                    for i, limit in enumerate(window):
+                        expected = base + sum(flags[: i + 1])
+                        assert prime_count(limit) == expected, (limit, size)
+                        pairs = bisect_right(twins, limit)
+                        assert census(limit).pi2 == pairs, (limit, size)
             limit = center + 40
             primes = [n for n in range(limit + 1) if is_prime(n)]
-            for segment_size in (7, 13, 4096, center - 9):
-                assert primes_by_wheel(limit, segment_size) == primes, segment_size
-                members = twin_lower_members(limit, segment_size).tolist()
-                assert members == twins, segment_size
+            for size in (7, 13, 4096, center - 9):
+                assert primes_by_wheel(limit, size) == primes, size
+                with segment_size(size):
+                    assert twin_lower_members(limit).tolist() == twins, size
 
     def test_segment_edges_between_pair_members(self):
         # segments start at 3, so a size dividing b - 2 ends one at b; with
@@ -321,35 +346,38 @@ class TestWheelEdges:
         for p in twins[1:]:
             for b in (p, p + 1):
                 sizes = [d for d in range(2, b - 1) if (b - 2) % d == 0 and (b - 2) // d <= 40]
-                for segment_size in sizes:
+                for size in sizes:
                     for limit in (b, p + 2, p + 8):
                         expected = twins[: bisect_right(twins, limit)]
-                        members = twin_lower_members(limit, segment_size).tolist()
-                        assert members == expected, (limit, segment_size)
-                        assert census(limit, segment_size) == census(limit), (limit, segment_size)
+                        reference = census(limit)
+                        with segment_size(size):
+                            assert twin_lower_members(limit).tolist() == expected, (limit, size)
+                            assert census(limit) == reference, (limit, size)
 
     def test_presieved_pairs(self):
         # the pattern removes 5, 7, 11 and 13; the twin mask gets the pairs
         # (5, 7) and (11, 13) back whatever segment holds k = 1 and k = 2
-        for segment_size in range(2, 20):
-            for limit in range(20):
-                expected = [p for p in (3, 5, 11, 17) if p <= limit]
-                members = twin_lower_members(limit, segment_size).tolist()
-                assert members == expected, (limit, segment_size)
-                assert census(limit, segment_size).pi2 == len(expected), (limit, segment_size)
-        first = next(_sieved_segments(100, 100, twins=True))
+        for size in range(2, 20):
+            with segment_size(size):
+                for limit in range(20):
+                    expected = [p for p in (3, 5, 11, 17) if p <= limit]
+                    assert twin_lower_members(limit).tolist() == expected, (limit, size)
+                    assert census(limit).pi2 == len(expected), (limit, size)
+        with segment_size(100):
+            first = next(_sieved_segments(100, twins=True))
         assert first.masks[0][:3].tolist() == [True, True, True]  # k = 1, 2, 3: 5, 11, 17
 
     def test_twin_segment_is_one_mask(self):
         # a twin segment's k have 6k in [lo - 1, b + 3], which spans at most
-        # segment_size + 4 integers, so the mask has at most
-        # ceil((segment_size + 4) / 6) bytes: segment_size // 6 + 1 at 2^23
-        for segment_size in self.SEGMENTS + (1000, 1001, 1002, 1003, 1004, 1005):
-            for s in _sieved_segments(20000, segment_size, twins=True):
-                assert len(s.masks) == 1
-                assert len(s.masks[0]) <= -(-(segment_size + 4) // 6), (segment_size, s.lo)
+        # size + 4 integers, so the mask has at most ceil((size + 4) / 6)
+        # bytes: size // 6 + 1 at 2^23
+        for size in self.SEGMENTS + (1000, 1001, 1002, 1003, 1004, 1005):
+            with segment_size(size):
+                for s in _sieved_segments(20000, twins=True):
+                    assert len(s.masks) == 1
+                    assert len(s.masks[0]) <= -(-(size + 4) // 6), (size, s.lo)
         size = DEFAULT_SEGMENT_SIZE
-        for s in _sieved_segments(3 * size, size, twins=True):
+        for s in _sieved_segments(3 * size, twins=True):
             assert len(s.masks) == 1 and len(s.masks[0]) <= size // 6 + 1, s.lo
 
     @given(
@@ -359,7 +387,8 @@ class TestWheelEdges:
     )
     @settings(max_examples=60, deadline=None)
     def test_twin_mask_matches_two_masks(self, limit, twin_size, class_size):
-        members = twin_lower_members(limit, twin_size).tolist()
+        with segment_size(twin_size):
+            members = twin_lower_members(limit).tolist()
         assert members == twins_by_two_masks(limit, class_size)
 
     def test_prime_lists_across_mask_fills(self):
@@ -371,8 +400,8 @@ class TestWheelEdges:
             if flags[n]:
                 flags[n * n :: n] = bytes(len(range(n * n, limit + 1, n)))
         expected = [n for n in range(limit + 1) if flags[n]]
-        for segment_size in (480_487, 1 << 20):
-            assert primes_by_wheel(limit, segment_size) == expected, segment_size
+        for size in (480_487, 1 << 20):
+            assert primes_by_wheel(limit, size) == expected, size
 
 
 class TestValidation:
@@ -380,11 +409,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             census(-1)
         with pytest.raises(ValueError):
-            census(100, segment_size=1)
-        with pytest.raises(ValueError):
             census(100, threads=0)
-        for segment_size in (0, 1, -5):
-            with pytest.raises(ValueError, match="segment_size too small"):
-                prime_count(100, segment_size=segment_size)
-            with pytest.raises(ValueError, match="segment_size too small"):
-                twin_lower_members(100, segment_size=segment_size)
+        # the segment size is the constant DEFAULT_SEGMENT_SIZE, no parameter
+        for f in (census, prime_count, twin_lower_members):
+            with pytest.raises(TypeError):
+                f(100, segment_size=4096)
