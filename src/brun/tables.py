@@ -14,11 +14,19 @@ Counts at two thresholds brace the partial sum growth between them: every
 pair (p, p+2) with t1 < p <= t2 contributes between 2/(t2+2) and 2/t1.
 Chaining that bracket along consecutive table rows extends a certified
 partial sum enclosure from a sieved base up to the table's end without
-sieving anything beyond the base.  One pass merges the rows, keying each
-by its threshold (computed once) and checking that counts never fall; one
-pass chains the merged thresholds and counts as an exact integer sum at
-the census's binary scale 2^61 (each step's lower end rounded down to a
-unit, its upper end up), rounded outward once and added to the base.
+sieving anything beyond the base.
+
+Every pass is a bulk pass.  Parsing reads each block of 4096 content
+lines with one regex split and converts its columns with mapped C calls;
+a file that fails any check is parsed again line by line, which names
+the malformed line.  Merging computes each threshold once, as an int64
+product when it is below 2^63, orders the rows with one stable argsort
+and checks duplicates and counts with vector comparisons; larger
+thresholds, and every conflict or decrease, take the dict merge, which
+raises the message.  The chain is an exact integer sum at the census's
+binary scale 2^61 (each step's lower end rounded down to a unit, its
+upper end up), two sums of floor divisions, rounded outward once and
+added to the base.
 """
 
 from __future__ import annotations
@@ -28,8 +36,12 @@ import math
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import repeat
+from operator import add, floordiv, itemgetter, le, mul, sub
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .interval import Interval, _frac_bracket
 from .sieve import _SCALE, TwinCensus
@@ -55,10 +67,20 @@ DEFAULT_BASE_ENCLOSURE = Interval(1.8065924, 1.8065925)
 #: 10^308, and a row past it is rejected before any number is formed.
 _MAX_DIGITS = 309
 
+# one content line, which holds no \n: [^\S\n] is \s there, and under re.M
+# a scan of lines joined by \n matches each line at most once, and whole
 _LINE = re.compile(
-    r"^(?P<k>0*[1-9]\d*)d(?P<n>\d{1,3})\s+(?P<pi2>\d+)"
-    r"(?:\s+(?P<pred>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?))?\s*$"
+    r"^(?P<k>0*[1-9]\d*)d(?P<n>\d{1,3})[^\S\n]+(?P<pi2>\d+)"
+    r"(?:[^\S\n]+(?P<pred>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?))?[^\S\n]*$",
+    re.M,
 )
+# content lines per regex split: the block's strings stay in cache, and a
+# file's temporaries stay a few MiB however many rows it holds
+_BLOCK = 1 << 12
+
+# 10**n in int64, and the largest mantissa whose threshold k * 10**n fits
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_MAX_MANTISSA = np.iinfo(np.int64).max // _POW10
 
 
 class CensusTableEntry(NamedTuple):
@@ -78,7 +100,44 @@ class CensusTableEntry(NamedTuple):
 
 
 def parse_table(text: str) -> list:
-    """Parse one table; blank lines and # comments are skipped."""
+    """Parse one table; blank lines and # comments are skipped.
+
+    Each block of content lines is read by one regex split.  When every
+    line matches and passes the size and prediction checks, its rows are
+    built column by column; otherwise the line loop runs over the whole
+    text and names the first malformed line.
+    """
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    entries = []
+    for start in range(0, len(lines), _BLOCK):
+        rows = _parse_block(lines[start : start + _BLOCK])
+        if rows is None:
+            return _parse_lines(text)
+        entries += rows
+    return entries
+
+
+def _parse_block(lines: list):
+    """The rows of non-empty content lines, or None if one breaks a rule."""
+    # the text before each match, then its four groups: a flat list of
+    # strings, where findall would make a tuple per row for the GC to track
+    parts = _LINE.split("\n".join(lines))
+    if len(parts) != 5 * len(lines) + 1:
+        return None
+    ks, ns, pi2s, preds = (parts[i::5] for i in range(1, 5))
+    exponents = list(map(int, ns))
+    digits = list(map(add, map(len, map(str.lstrip, ks, repeat("0"))), exponents))
+    if (
+        max(digits) > _MAX_DIGITS
+        or not all(map(le, map(len, map(str.lstrip, pi2s, repeat("0"))), digits))
+        or not all(map(math.isfinite, map(float, filter(None, preds))))
+    ):
+        return None
+    return list(map(CensusTableEntry._make, zip(map(int, ks), exponents, map(int, pi2s))))
+
+
+def _parse_lines(text: str) -> list:
+    """``parse_table`` one line at a time, raising at the first malformed line."""
     entries = []
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -98,19 +157,60 @@ def parse_table(text: str) -> list:
     return entries
 
 
-def _merge(entries: Iterable[CensusTableEntry]) -> tuple:
-    """(ascending thresholds, the first row at each), each threshold keyed once."""
-    by_threshold = {}
-    for e in entries:
-        prev = by_threshold.setdefault(e.threshold, e)
+def _merge(rows: Sequence[CensusTableEntry]) -> tuple:
+    """(ascending thresholds, their counts, the indices in ``rows`` of
+    the first row at each), each threshold computed once.  The indices
+    are an int64 array on the int64 path, where a list of 1e5 Python
+    ints would raise the peak by about 4 MiB, and a list otherwise.
+
+    Below 2^63 one stable argsort of the int64 thresholds orders the rows
+    and vector comparisons find the duplicates; a threshold or count
+    beyond int64, a conflict and a decrease go to ``_merge_dict``.
+    """
+    columns = _int64_columns(rows)
+    if columns is None:
+        return _merge_dict(rows)
+    t, c = columns
+    order = np.argsort(t, kind="stable")  # the first row at a threshold stays first
+    t, c = t[order], c[order]
+    new = np.empty(len(t), dtype=bool)
+    new[0] = True
+    np.not_equal(t[1:], t[:-1], out=new[1:])
+    # a duplicate repeats its count, and counts never fall
+    if (c[1:] < c[:-1]).any() or (c[1:] != c[:-1])[~new[1:]].any():
+        return _merge_dict(rows)
+    return t[new].tolist(), c[new].tolist(), order[new]
+
+
+def _int64_columns(rows: Sequence[CensusTableEntry]):
+    """The rows' thresholds and counts as int64 arrays, or None when
+    there are no rows or one of them does not fit."""
+    try:
+        k, n, c = (np.array(list(map(itemgetter(i), rows)), dtype=np.int64) for i in range(3))
+    except OverflowError:
+        return None
+    if not (
+        len(k) and 0 <= n.min() and n.max() < len(_POW10)
+        and 0 <= k.min() and (k <= _MAX_MANTISSA[n]).all()
+    ):
+        return None
+    return k * _POW10[n], c
+
+
+def _merge_dict(rows: Sequence[CensusTableEntry]) -> tuple:
+    """``_merge`` by dict at any size, raising at the first conflict or decrease."""
+    first = {}
+    for i, e in enumerate(rows):
+        prev = rows[first.setdefault(e.threshold, i)]
         if prev.pi2 != e.pi2:
             raise ValueError(f"conflicting counts at {e.label}: {prev.pi2} vs {e.pi2}")
-    thresholds = sorted(by_threshold)
-    rows = [by_threshold[t] for t in thresholds]
-    for a, b in zip(rows, rows[1:]):
-        if b.pi2 < a.pi2:
-            raise ValueError(f"pair count decreases from {a.label} to {b.label}")
-    return thresholds, rows
+    thresholds = sorted(first)
+    index = [first[t] for t in thresholds]
+    counts = [rows[i].pi2 for i in index]
+    for i, j, a, b in zip(index, index[1:], counts, counts[1:]):
+        if b < a:
+            raise ValueError(f"pair count decreases from {rows[i].label} to {rows[j].label}")
+    return thresholds, counts, index
 
 
 def _read_table_dir(path) -> tuple:
@@ -134,7 +234,8 @@ def _read_table_dir(path) -> tuple:
 
 def load_table_dir(path) -> list:
     """All *.txt tables under ``path``, merged, deduplicated, ascending."""
-    return _merge(_read_table_dir(path)[0])[1]
+    rows = _read_table_dir(path)[0]
+    return list(map(rows.__getitem__, _merge(rows)[2]))
 
 
 def bracket_contribution(lower: CensusTableEntry, upper: CensusTableEntry) -> Interval:
@@ -167,17 +268,16 @@ def extend_partial_sum(
     """
     if not (math.isfinite(base.lo) and math.isfinite(base.hi)):
         raise ValueError(f"base enclosure must be finite: {base}")
-    thresholds, rows = _merge(entries)  # thresholds rise, counts never fall
+    thresholds, counts, _ = _merge(entries)  # thresholds rise, counts never fall
     start = bisect_left(thresholds, base_threshold)
     if thresholds[start:start + 1] != [base_threshold]:
         raise ValueError(f"no table row at base threshold {base_threshold}")
-    ts = thresholds[start:]
-    counts = [row.pi2 for row in rows[start:]]
-    lo = hi = 0
-    for t1, t2, c1, c2 in zip(ts, ts[1:], counts, counts[1:]):
-        two_delta = 2 * (c2 - c1)
-        lo += two_delta * _SCALE // (t2 + 2)
-        hi -= -two_delta * _SCALE // t1  # adds the ceiling
+    ts, counts = thresholds[start:], counts[start:]
+    # floor(2 delta 2^61 / (t2 + 2)) per step, and ceil(2 delta 2^61 / t1) as
+    # -floor(-2 delta 2^61 / t1); each step's numerator is formed as it is used
+    lo = sum(map(floordiv, map(mul, map(sub, counts[1:], counts), repeat(2 * _SCALE)),
+                 map(add, ts[1:], repeat(2))))
+    hi = -sum(map(floordiv, map(mul, map(sub, counts[1:], counts), repeat(-2 * _SCALE)), ts))
     lo_q = Fraction(base.lo) + Fraction(lo, _SCALE)
     total = _frac_bracket(lo_q, Fraction(base.hi) + Fraction(hi, _SCALE))
     return TwinCensus(limit=ts[-1], pi2=counts[-1], brun_partial=total)

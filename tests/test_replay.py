@@ -5,8 +5,11 @@ The replay takes only the package's results: it rebuilds the correction
 constants from the decimal literals of the source paper (arXiv:1803.01925)
 and the three literal windows (C, c and log H), integrates the tail
 majorant on a grid of its own, and sums both Euler log sums term by term
-from the definitions.  The certificate's ``upper`` must lie at or above
-the replay's, and each package enclosure must contain its replayed sum.
+from the definitions.  The census partial sum is replayed as an exact
+rational over the pairs of a plain sieve, and the divisor-error scan from
+divisor counts by trial multiples and mpmath's own Euler and Stieltjes
+constants.  The certificate's ``upper`` must lie at or above the
+replay's, and each package enclosure must contain its replayed value.
 """
 
 import json
@@ -18,7 +21,9 @@ import pytest
 from mpmath import iv
 
 from brun.cli import main
+from brun.divisor_error import scan_c
 from brun.euler_product import _log_sum, _twin_local_log_terms, h_bound, twin_constant
+from brun.sieve import census
 
 PREC = 90
 X0 = 4 * 10**18
@@ -137,3 +142,73 @@ def test_euler_log_sums_contain_replay():
     assert contains(_log_sum(cutoff, _twin_local_log_terms)[0], s_twin)
     # the partial product 2 exp(S) lies in C's enclosure: the tail only lowers it
     assert contains(twin_constant(cutoff), 2 * iv.exp(s_twin))
+
+
+def test_census_partial_sum_contains_replay():
+    limit = 10**6
+    primes = odd_primes(limit + 2)
+    pairs = [p for p, q in zip(primes, primes[1:]) if q == p + 2]
+    # 1/p + 1/(p + 2) = (2p + 2)/(p (p + 2)), added pairwise so the
+    # numerators and denominators grow evenly
+    terms = [(2 * p + 2, p * (p + 2)) for p in pairs]
+    while len(terms) > 1:
+        merged = [(a * d + b * c, b * d) for (a, b), (c, d) in zip(terms[::2], terms[1::2])]
+        terms = merged + terms[len(merged) * 2 :]
+    exact = Fraction(*terms[0])
+    result = census(limit)
+    assert result.pi2 == len(pairs) == 8169
+    assert Fraction(result.brun_partial.lo) <= exact <= Fraction(result.brun_partial.hi)
+
+
+def hull(intervals: list):
+    """The interval from the greatest lower end to the greatest upper end:
+    it contains the maximum of the values each interval contains."""
+    return iv.mpf([max(x.a for x in intervals), max(x.b for x in intervals)])
+
+
+def test_scan_c_contains_replay():
+    """sup |E(x)| x^a for a = 2/5, with E = D - A as in ``divisor_error``.
+
+    On (0, 1), x = e^u and E = -A: the supremum is A(1) = g0^2 - 2 g1 or a
+    critical point, a root of (a/2) u^2 + (1 + 2 a g0) u + (2 g0 + a A(1)).
+    On [1, xmax] the replay is the largest value at an integer n and just
+    before each jump at n + 1, where D still reads D(n).  Each is a value
+    of the function or a limit of its values, so the replay lies at or
+    below the supremum and the scan's upper end; the scan's lower end is
+    the largest value at an integer rounded down, at or below the replay.
+    """
+    xmax = 10**4
+    a = iv.mpf(2) / 5
+    with mpmath.workprec(PREC + 20):
+        stieltjes1 = mpmath.stieltjes(1)
+    g0 = iv.euler
+    g1 = iv.mpf([stieltjes1 - mpmath.mpf(2) ** -PREC, stieltjes1 + mpmath.mpf(2) ** -PREC])
+    c0 = g0 * g0 - 2 * g1
+
+    def model(u):  # A(e^u)
+        return u * u / 2 + 2 * g0 * u + c0
+
+    qa, qb, qc = a / 2, 1 + 2 * a * g0, 2 * g0 + a * c0
+    sq = iv.sqrt(qb * qb - 4 * qa * qc)
+    roots = [r for r in ((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)) if r.b < 0]
+    head = hull([c0] + [abs(model(u)) * iv.exp(a * u) for u in roots])
+
+    divisors = [0] * (xmax + 1)
+    for k in range(1, xmax + 1):
+        for m in range(k, xmax + 1, k):
+            divisors[m] += 1
+    d_sum = iv.mpf(0)
+    values = []
+    for n in range(1, xmax + 1):
+        log_n = iv.log(n)
+        model_n, power = model(log_n), iv.exp(a * log_n)
+        if n > 1:  # the left limit at n: D still reads D(n - 1)
+            values.append(abs(d_sum - model_n) * power)
+        d_sum += iv.mpf(divisors[n]) / n
+        values.append(abs(d_sum - model_n) * power)
+    scanned = hull(values)
+
+    scan = scan_c(Fraction(2, 5), xmax)
+    assert contains(scan.head, head)
+    assert contains(scan.scanned, scanned)
+    assert contains(scan.bound, hull([head, scanned]))

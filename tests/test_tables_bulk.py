@@ -1,0 +1,292 @@
+"""The bulk table passes against the line-by-line and dict code they replace.
+
+``reference_parse``, ``reference_merge`` and ``reference_extend`` are the
+per-row loops that ``parse_table``, ``_merge`` and the chain of
+``extend_partial_sum`` used before they became bulk passes, kept here as
+the specification: on every input both sides return the same rows,
+thresholds and enclosure bits, or raise the same ``ValueError`` text.
+"""
+
+import math
+import random
+import re
+from bisect import bisect_left
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from brun import tables
+from brun.interval import Interval, _frac_bracket
+from brun.sieve import _SCALE
+from brun.tables import CensusTableEntry, _merge, extend_partial_sum, parse_table
+
+REF_LINE = re.compile(
+    r"^(?P<k>0*[1-9]\d*)d(?P<n>\d{1,3})\s+(?P<pi2>\d+)"
+    r"(?:\s+(?P<pred>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?))?\s*$"
+)
+
+
+def reference_parse(text: str) -> list:
+    entries = []
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if m := REF_LINE.match(line):
+            k, n, pi2, pred = m.groups()
+            digits = len(k.lstrip("0")) + int(n)
+        if (
+            m is None
+            or digits > 309
+            or len(pi2.lstrip("0")) > digits
+            or not math.isfinite(float(pred or 0))
+        ):
+            raise ValueError(f"line {number}: malformed census table line: {line!r}")
+        entries.append(CensusTableEntry(int(k), int(n), int(pi2)))
+    return entries
+
+
+def reference_merge(entries) -> tuple:
+    by_threshold = {}
+    for e in entries:
+        prev = by_threshold.setdefault(e.threshold, e)
+        if prev.pi2 != e.pi2:
+            raise ValueError(f"conflicting counts at {e.label}: {prev.pi2} vs {e.pi2}")
+    thresholds = sorted(by_threshold)
+    rows = [by_threshold[t] for t in thresholds]
+    for a, b in zip(rows, rows[1:]):
+        if b.pi2 < a.pi2:
+            raise ValueError(f"pair count decreases from {a.label} to {b.label}")
+    return thresholds, rows
+
+
+def reference_extend(base_threshold: int, base: Interval, entries) -> tuple:
+    thresholds, rows = reference_merge(entries)
+    start = bisect_left(thresholds, base_threshold)
+    if thresholds[start:start + 1] != [base_threshold]:
+        raise ValueError(f"no table row at base threshold {base_threshold}")
+    ts = thresholds[start:]
+    counts = [row.pi2 for row in rows[start:]]
+    lo = hi = 0
+    for t1, t2, c1, c2 in zip(ts, ts[1:], counts, counts[1:]):
+        two_delta = 2 * (c2 - c1)
+        lo += two_delta * _SCALE // (t2 + 2)
+        hi -= -two_delta * _SCALE // t1
+    lo_q = Fraction(base.lo) + Fraction(lo, _SCALE)
+    total = _frac_bracket(lo_q, Fraction(base.hi) + Fraction(hi, _SCALE))
+    return ts[-1], counts[-1], total.lo.hex(), total.hi.hex()
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, or the text of the ValueError it raises."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# -- parse_table -------------------------------------------------------
+
+# every terminator str.splitlines honours
+TERMINATORS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# spaces inside a line: \x1f is whitespace that splitlines does not split on
+SPACES = [" ", "  ", "\t", "\x1f", "\xa0", "\u3000", " \xa0 "]
+# ASCII, Arabic-Indic, Devanagari, fullwidth and (outside the BMP) bold digits
+DIGITS = ["0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+          "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f",
+          "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19",
+          "".join(map(chr, range(0x1D7CE, 0x1D7D8)))]
+GOOD_PREDICTIONS = ["1.5e3", "-2", ".5", "7.", "+3E-2", "12", "1e308", "-1.7e308", "\u0661.\u0665"]
+BAD_PREDICTIONS = ["1e999", "-1e999", "1e", "+-", "1.2.3", "nan", "inf", ".", "e5", "1x"]
+
+
+@st.composite
+def numerals(draw, max_len: int) -> str:
+    """A decimal numeral, ASCII 1-9 first, then digits of any script."""
+    digits = draw(st.sampled_from(DIGITS))
+    return draw(st.sampled_from("123456789")) + "".join(
+        draw(st.lists(st.sampled_from(digits), max_size=max_len - 1))
+    )
+
+
+@st.composite
+def rows(draw, flawed: bool) -> str:
+    """A table row, valid unless ``flawed`` lets a column break a rule."""
+    space = st.sampled_from(SPACES)
+    zeros = st.sampled_from(["", "", "0", "00"] + ["\u0660"] * flawed)  # 0* is ASCII only
+    k = draw(zeros) + draw(numerals(8))
+    exponents = ["0", "00", "6", "12", "\u0967\u0968"] + ["308", "0000"] * flawed
+    n = draw(st.sampled_from(exponents) | numerals(3)) if flawed else draw(st.sampled_from(exponents))
+    digits = len(k.lstrip("0")) + int(n)
+    pi2 = draw(zeros) + draw(numerals(min(digits + flawed, 20)))
+    line = f"{k}d{n}{draw(space)}{pi2}"
+    if draw(st.booleans()):
+        predictions = GOOD_PREDICTIONS + BAD_PREDICTIONS * flawed
+        line += draw(space) + draw(st.sampled_from(predictions))
+    return draw(space) * draw(st.integers(0, 1)) + line + draw(space) * draw(st.integers(0, 1))
+
+
+# rows at 309 and 310 threshold digits, and a malformed line of each kind
+EDGE_LINES = [
+    "1d308  5", "10d308  5", "0001d308  1" + "0" * 308, "1d308  1" + "0" * 308,
+    "1" * 309 + "d0  7", "1" * 310 + "d0  7", "9" * 300 + "d9  3", "9" * 300 + "d10  3",
+    "1d3  9999", "1d3  10000", "12 34", "ad3 5", "3d4", "0d5  3", "1d6\xa0\xa08169\u30008248.5",
+    # predictions of 308 and 309 digits with no exponent: 10^308 - 1 is finite
+    "1d6  5  " + "9" * 308, "1d6  5  -" + "9" * 308 + ".5", "1d6  5  " + "9" * 309,
+]
+OTHER_LINES = ["", "   ", "\xa0", "# heading", "  # indented comment", "#1d6 5", "x # not a comment"]
+
+
+@st.composite
+def tables_text(draw) -> str:
+    clean = draw(st.booleans())  # valid rows only: the bulk path runs to the end
+    line = rows(False) if clean else st.one_of(rows(True), st.sampled_from(EDGE_LINES + OTHER_LINES))
+    lines = draw(st.lists(line, max_size=12))
+    lines += draw(st.lists(st.sampled_from(OTHER_LINES[:6]), max_size=3))
+    lines = draw(st.permutations(lines))
+    ends = draw(st.lists(st.sampled_from(TERMINATORS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(a + b for a, b in zip(lines, ends))
+    return text[: len(text) - draw(st.integers(0, 1))]  # with or without a final terminator
+
+
+# blocks of 1, 2 and 3 lines put block ends everywhere in a short table:
+# rows joined across blocks, and a later block failing after earlier ones
+# parsed, which must still give the whole text to the line loop
+BLOCKS = [1, 2, 3, tables._BLOCK]
+
+
+@settings(max_examples=250, deadline=None)
+@given(tables_text(), st.sampled_from(BLOCKS))
+def test_parse_matches_line_loop(text, block):
+    expected = outcome(reference_parse, text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tables, "_BLOCK", block)
+        got = outcome(parse_table, text)
+    assert got == expected
+    if got[0] == "ok":
+        assert all(type(row) is CensusTableEntry for row in got[1])
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_clean_tables_take_the_bulk_path(monkeypatch, block):
+    def line_loop(text):
+        raise AssertionError("the line loop ran on a clean table")
+
+    monkeypatch.setattr(tables, "_parse_lines", line_loop)
+    monkeypatch.setattr(tables, "_BLOCK", block)
+    text = "# head\r\n1d6  8169\x851\u0660d5\xa08169\u3000 8248.5 \u2028\n2d6\x1f14871  -1e3\n"
+    text += "00012d1  000042\n0001d308  1" + "0" * 308
+    assert parse_table(text) == [
+        (1, 6, 8169), (10, 5, 8169), (2, 6, 14871), (12, 1, 42), (1, 308, 10**308)
+    ]
+    assert parse_table("1000d12  1177209242304  1177208491858.251") == [(1000, 12, 1177209242304)]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_late_block_failure_names_its_line(monkeypatch, block):
+    monkeypatch.setattr(tables, "_BLOCK", block)
+    text = "".join(f"{k}d6  {1000 * k}\n" for k in range(1, 8)) + "# end\n9d6  x\n"
+    with pytest.raises(ValueError, match=r"^line 9: malformed census table line: '9d6  x'$"):
+        parse_table(text)
+
+
+def test_first_bad_line_is_named():
+    text = "1d6  8169\n2d6  14871\r\n3d6 20000 1e999\n4d6 x\n"
+    with pytest.raises(ValueError, match=r"^line 3: malformed census table line: '3d6 20000 1e999'$"):
+        parse_table(text)
+
+
+# -- _merge and the chain ----------------------------------------------
+
+BIG = [9 * 10**18, 2**63 - 1, 2**63, 10**19, 10**308]  # both sides of 2^63
+
+
+def spell(threshold: int, rng: random.Random) -> tuple:
+    """(k, n) with k * 10^n == threshold, the exponent chosen at random."""
+    n = 0
+    while threshold % 10 ** (n + 1) == 0:
+        n += 1
+    n = rng.randint(0, n)
+    return threshold // 10**n, n
+
+
+@st.composite
+def merge_inputs(draw) -> list:
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    small = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=20))
+    big = draw(st.lists(st.sampled_from(BIG), max_size=3))
+    thresholds = sorted(set(t * 10 ** draw(st.integers(0, 12)) for t in small) | set(big))
+    count = st.integers(0, 10**15) | st.sampled_from([2**63 - 1, 2**63, 10**20])
+    counts = sorted(draw(st.lists(count, min_size=len(thresholds), max_size=len(thresholds))))
+    table = [CensusTableEntry(*spell(t, rng), c) for t, c in zip(thresholds, counts)]
+    entries = table + [CensusTableEntry(*spell(row.threshold, rng), row.pi2)
+                       for row in table if rng.random() < 0.3]
+    rng.shuffle(entries)
+    if draw(st.booleans()) and len(entries) > 1:  # a conflict or a decrease
+        i = rng.randrange(len(entries))
+        entries[i] = entries[i]._replace(pi2=entries[i].pi2 + rng.choice([-1, 1, 10**19]))
+    return entries
+
+
+def split_merge(entries) -> tuple:
+    thresholds, counts, first = _merge(entries)
+    rows = [entries[i] for i in first]
+    assert counts == [row.pi2 for row in rows]
+    return thresholds, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_inputs())
+def test_merge_matches_dict_merge(entries):
+    expected = outcome(reference_merge, entries)
+    got = outcome(split_merge, entries)
+    assert got == expected
+    if got[0] == "ok":  # the first row at each threshold, the object itself
+        assert all(a is b for a, b in zip(got[1][1], expected[1][1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(merge_inputs(), st.data())
+def test_chain_matches_reference(entries, data):
+    base_threshold = data.draw(st.sampled_from([row.threshold for row in entries]))
+    base = Interval(*sorted(data.draw(st.tuples(st.sampled_from([0.0, 1.83, 1.8065924]),
+                                                st.sampled_from([0.0, 1.84, 1.8065925])))))
+
+    def extended(*args):
+        out = extend_partial_sum(*args)
+        return out.limit, out.pi2, out.brun_partial.lo.hex(), out.brun_partial.hi.hex()
+
+    assert outcome(extended, base_threshold, base, entries) == outcome(
+        reference_extend, base_threshold, base, entries
+    )
+
+
+def test_int64_path_and_its_edges(monkeypatch):
+    calls = []
+    dict_merge = tables._merge_dict
+    monkeypatch.setattr(tables, "_merge_dict", lambda rows: calls.append(1) or dict_merge(rows))
+    below = [CensusTableEntry(9, 18, 5), CensusTableEntry(1, 6, 3), CensusTableEntry(10, 5, 3)]
+    thresholds, counts, first = _merge(below)
+    assert (thresholds, counts, list(first)) == ([10**6, 9 * 10**18], [3, 5], [1, 0])
+    assert _merge(below + [CensusTableEntry(2**63 - 1, 0, 2**63 - 1)])[0][-1] == 2**63 - 1
+    assert calls == []
+    # a threshold or a count at 2^63 and above takes the dict merge
+    for extra in (CensusTableEntry(1, 19, 6), CensusTableEntry(1, 308, 6),
+                  CensusTableEntry(92233720368547759, 2, 6), CensusTableEntry(92, 17, 2**63)):
+        assert _merge(below + [extra])[0][-1] == extra.threshold
+    assert len(calls) == 4
+
+
+def test_first_conflict_and_first_decrease_are_named():
+    rows = [CensusTableEntry(2, 6, 14871), CensusTableEntry(1, 6, 8169),
+            CensusTableEntry(20, 5, 14872), CensusTableEntry(10, 5, 8170)]
+    with pytest.raises(ValueError, match=r"^conflicting counts at 20d5: 14871 vs 14872$"):
+        _merge(rows)
+    rows = [CensusTableEntry(3, 6, 20000), CensusTableEntry(1, 6, 8169),
+            CensusTableEntry(2, 6, 19000), CensusTableEntry(4, 6, 10)]
+    with pytest.raises(ValueError, match=r"^pair count decreases from 3d6 to 4d6$"):
+        _merge(rows)
+    with pytest.raises(ValueError, match=r"^pair count decreases from 1d19 to 1d308$"):
+        _merge([CensusTableEntry(1, 308, 1), CensusTableEntry(1, 19, 2)])
