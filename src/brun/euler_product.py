@@ -46,13 +46,13 @@ __all__ = [
 ]
 
 #: K in the Chebyshev-type upper bound pi(t) <= (1 + K/log t) t/log t,
-#: used by both Euler tails for t >= _PI_BOUND_FLOOR.  Usually cited from
-#: Dusart 1999 (Math. Comp. 68), not checked against the paper offline;
-#: tests/test_explicit.py checks it at every prime up to 1e8.
+#: which Dusart 1999 (Math. Comp. 68) states for t > 1 (not checked against
+#: the paper offline); tests/test_explicit.py checks it on [2, 1e8].
 _PI_BOUND_K = Fraction("1.2762")
 
-#: Tail estimates refuse cutoffs below this.  The bound above holds at
-#: every prime below it as well, so it does not set the floor.
+#: Tail estimates refuse cutoffs below this, a domain choice and not the
+#: range of the bound above: 599 is where, as recalled and not checked
+#: offline, the same paper's pi(t) >= (1 + 1/log t) t/log t starts.
 _PI_BOUND_FLOOR = 599
 
 # blanket relative error bound for one float64 log term against its
@@ -218,8 +218,13 @@ def _tail_envelope_coefficient(t: Interval, alpha: Fraction) -> Interval:
     """r(t) = (4 t^(1-a) + 3 t + 2 + 2 t^a) / (t - 2).
 
     The local H sum at a prime p equals r(p) p^(-beta) with
-    beta = 2 - 2 alpha, and r decreases on t > 2, so r(cutoff) caps every
-    tail factor.
+    beta = 2 - 2 alpha, and r(cutoff) caps every tail factor: r decreases
+    on t > 2, since for t > 0 and 0 < a < 1 every term of
+
+        (t - 2)^2 r'(t) = -4a t^(1-a) - 2(1-a) t^a - 8(1-a) t^(-a)
+                          - 4a t^(a-1) - 8
+
+    is negative (tests/test_explicit.py checks it against mpmath).
     """
     one_minus = 1 - alpha
     return (
@@ -256,7 +261,6 @@ def h_bound(cutoff: int, alpha: Fraction) -> HBoundReport:
     t0 = Interval.from_int(cutoff)
     # one constant K >= r(p) for every prime p > cutoff, since r decreases
     k1 = Interval.point(_tail_envelope_coefficient(t0, alpha).hi)
-    _check_tail_domination(cutoff, alpha, k1)
     k2 = _chebyshev_k2(t0)
 
     p_beta = rational_pow(t0, -beta.numerator, beta.denominator)
@@ -276,22 +280,6 @@ def h_bound(cutoff: int, alpha: Fraction) -> HBoundReport:
         log_bound=log_bound,
         h=log_bound.exp(),
     )
-
-
-def _check_tail_domination(cutoff: int, alpha: Fraction, k1: Interval) -> None:
-    # r is provably decreasing (its derivative numerator is
-    # -(4 t^(1-a) + 8 + 2 t^a) minus positive terms), but cheap to
-    # double-check on a geometric grid before trusting k1
-    t = float(cutoff)
-    for _ in range(48):
-        r = _tail_envelope_coefficient(Interval.point(t), alpha)
-        if r.hi > k1.lo:
-            raise ArithmeticError(
-                f"tail envelope not dominated at t={t!r}; k1 too small"
-            )
-        t *= 1.7
-        if t > 1e300:
-            break
 
 
 def twin_constant(cutoff: int) -> Interval:

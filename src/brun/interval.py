@@ -368,11 +368,9 @@ _SERIES_MAX = 12.0
 
 
 def _e1_point(z: float) -> Interval:
-    """Enclosure of E1(z) = integral_z^inf exp(-t)/t dt for a double z > 0."""
+    """Enclosure of E1(z) = integral_z^inf exp(-t)/t dt for a finite double z > 0."""
     if math.isnan(z) or z <= 0.0:
         raise ValueError(f"E1 domain: {z!r}")
-    if math.isinf(z):
-        return Interval(0.0, 5e-324)
     if z <= _SERIES_MAX:
         return _e1_series(z)
     return _e1_contfrac(z)
@@ -414,18 +412,12 @@ def _cf_convergent(zq: Fraction, depth: int) -> Fraction:
 
 def _e1_contfrac(z: float) -> Interval:
     # Consecutive convergents of a Stieltjes fraction with positive
-    # elements straddle the limit, so two neighbouring depths give a
-    # rigorous bracket of e^z E1(z).
+    # elements straddle the limit, so depths 32 and 33 give a rigorous
+    # bracket of e^z E1(z).  Past _SERIES_MAX it is within 2^-50 relative
+    # (1.3e-18 at the least double above 12, less as z grows).
     zq = Fraction(z)
-    depth = 32
-    while True:
-        v1 = _cf_convergent(zq, depth)
-        v2 = _cf_convergent(zq, depth + 1)
-        lo_q, hi_q = (v1, v2) if v1 <= v2 else (v2, v1)
-        if hi_q - lo_q <= hi_q * Fraction(1, 2**50) or depth >= 1024:
-            break
-        depth *= 2
-    e1 = _frac_bracket(lo_q, hi_q) * Interval.point(-z).exp()
+    e1 = _frac_bracket(*sorted((_cf_convergent(zq, 32), _cf_convergent(zq, 33))))
+    e1 *= Interval.point(-z).exp()
     # E1 > 0, but past z ~ 745 exp(-z) underflows and the lower end
     # can round below 0
     return Interval(max(0.0, e1.lo), e1.hi)

@@ -57,10 +57,15 @@ __all__ = [
 #: correction constants, hold at this alpha only.
 ALPHA = Fraction(2, 5)
 
-#: Defaults for the three analytic inputs at alpha = 2/5, as certified
-#: elsewhere in the package: the twin prime constant window, the log of
-#: the H product bound (lower end from its partial sum at 1e10, upper end
-#: from the certified tail estimate), and the divisor-error supremum.
+#: Defaults for the three analytic inputs at alpha = 2/5: the twin prime
+#: constant window, the log of the H product bound and the divisor-error
+#: supremum.  ``twin_constant(10**7)`` lies inside DEFAULT_TWIN_C,
+#: ``scan_c(2/5, 10**6).bound`` inside DEFAULT_SCAN_BOUND, and
+#: DEFAULT_H_LOG inside ``h_bound(10**6, 2/5).log_bound``;
+#: tests/test_rv_bound.py's test_literals_agree_with_computed_constants
+#: checks all three.  DEFAULT_H_LOG's lower end 6.8509190276 is the
+#: partial log sum at 1e10, which only the opt-in acceptance run
+#: 03-extended reproduces; its upper end is from the certified tail estimate.
 #: Each can be recomputed and passed in explicitly.
 DEFAULT_TWIN_C = Interval(1.320323, 1.320324)
 DEFAULT_H_LOG = Interval(6.8509190276, 6.8565069)

@@ -8,7 +8,8 @@ where ``<k>d<n>`` names the threshold k * 10^n, k > 0, of at most 309 digits
 (10^309 exceeds every double), ``<pi2>`` is the exact number of twin pairs
 up to that threshold, of no more digits than the threshold, and an optional
 third column (a predicted count) is checked to be a finite decimal and
-discarded.  Both sizes are checked on the digits, before any is converted.
+discarded.  Both sizes are checked on the digits, before any is converted,
+and k and pi2 may each carry at most 309 leading zeros.
 
 Counts at two thresholds brace the partial sum growth between them: every
 pair (p, p+2) with t1 < p <= t2 contributes between 2/(t2+2) and 2/t1.
@@ -68,9 +69,12 @@ DEFAULT_BASE_ENCLOSURE = Interval(1.8065924, 1.8065925)
 _MAX_DIGITS = 309
 
 # one content line, which holds no \n: [^\S\n] is \s there, and under re.M
-# a scan of lines joined by \n matches each line at most once, and whole
+# a scan of lines joined by \n matches each line at most once, and whole.
+# A column has at most _MAX_DIGITS leading zeros, so that with the size
+# checks no string of more than twice _MAX_DIGITS characters reaches int()
+_ZEROS = f"(?!0{{{_MAX_DIGITS + 1}}})"
 _LINE = re.compile(
-    r"^(?P<k>0*[1-9]\d*)d(?P<n>\d{1,3})[^\S\n]+(?P<pi2>\d+)"
+    rf"^(?P<k>{_ZEROS}0*[1-9]\d*)d(?P<n>\d{{1,3}})[^\S\n]+(?P<pi2>{_ZEROS}\d+)"
     r"(?:[^\S\n]+(?P<pred>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?))?[^\S\n]*$",
     re.M,
 )

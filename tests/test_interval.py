@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from brun.interval import (
     EULER_GAMMA,
     Interval,
+    _SERIES_MAX,
+    _cf_convergent,
     _e1_point,
     _vdn,
     _vup,
@@ -326,6 +328,15 @@ class TestExponentialIntegral:
     ])
     def test_e1_contfrac_bits(self, z, lo, hi):
         assert_pinned(_e1_point(z), (lo, hi), self.E1_BEFORE.get(z, (lo, hi)))
+
+    def test_contfrac_depth_meets_its_goal_past_the_series(self):
+        # _e1_contfrac brackets with depths 32 and 33 alone; they are within
+        # 2^-50 relative from the least double above the split on, and
+        # closer as z grows, so a split low enough to miss that fails here
+        for z in [math.nextafter(_SERIES_MAX, math.inf), 13.0, 20.0]:
+            zq = Fraction(z)
+            v32, v33 = _cf_convergent(zq, 32), _cf_convergent(zq, 33)
+            assert abs(v33 - v32) <= max(v32, v33) / 2**50, z
 
     @pytest.mark.parametrize("z", [700.5, 705.0, 1000.0, 4000.0, 1e300])
     def test_e1_deep_tail_signs(self, z):

@@ -65,12 +65,15 @@ class TestParsing:
             load_table_dir(tmp_path)
 
     def test_oversized_rows_fail_fast(self, tmp_path):
-        # a threshold of more than 309 digits, or a count of more digits than
-        # its threshold, is malformed before any int conversion: a 5000-digit
-        # mantissa or count would exceed Python's int-string limit
+        # a threshold of more than 309 digits, a count of more digits than
+        # its threshold, or a column with more than 309 leading zeros, is
+        # malformed before any int conversion: a 5000-digit mantissa or count
+        # would exceed Python's int-string limit
         assert parse_table("0001d308  1" + "0" * 308)[0].pi2 == 10**308
+        assert parse_table("0" * 309 + "2d6  " + "0" * 309 + "14871") == [(2, 6, 14871)]
         for row in ["9" * 5000 + "d0  5", "1d6  " + "9" * 5000, "1" * 4000 + "d308  5",
-                    "10d308  5", "1d3  10000", "1" * 310 + "d0  5"]:
+                    "10d308  5", "1d3  10000", "1" * 310 + "d0  5",
+                    "0" * 5000 + "2d6  14871", "2d6  " + "0" * 5000 + "14871"]:
             (tmp_path / "rows.txt").write_text(f"1d6  8169\n{row}\n")
             start = time.perf_counter()
             with pytest.raises(ValueError, match=r"rows\.txt, line 2: malformed census table line"):

@@ -23,7 +23,7 @@ from brun.sieve import _SCALE
 from brun.tables import CensusTableEntry, _merge, extend_partial_sum, parse_table
 
 REF_LINE = re.compile(
-    r"^(?P<k>0*[1-9]\d*)d(?P<n>\d{1,3})\s+(?P<pi2>\d+)"
+    r"^(?P<k>(?!0{310})0*[1-9]\d*)d(?P<n>\d{1,3})\s+(?P<pi2>(?!0{310})\d+)"
     r"(?:\s+(?P<pred>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?))?\s*$"
 )
 
@@ -133,6 +133,8 @@ EDGE_LINES = [
     "1d308  5", "10d308  5", "0001d308  1" + "0" * 308, "1d308  1" + "0" * 308,
     "1" * 309 + "d0  7", "1" * 310 + "d0  7", "9" * 300 + "d9  3", "9" * 300 + "d10  3",
     "1d3  9999", "1d3  10000", "12 34", "ad3 5", "3d4", "0d5  3", "1d6\xa0\xa08169\u30008248.5",
+    # 309 and 310 leading zeros in each column
+    "0" * 309 + "2d6  7", "0" * 310 + "2d6  7", "2d6  " + "0" * 309 + "7", "2d6  " + "0" * 310 + "7",
     # predictions of 308 and 309 digits with no exponent: 10^308 - 1 is finite
     "1d6  5  " + "9" * 308, "1d6  5  -" + "9" * 308 + ".5", "1d6  5  " + "9" * 309,
 ]
@@ -190,6 +192,20 @@ def test_late_block_failure_names_its_line(monkeypatch, block):
     text = "".join(f"{k}d6  {1000 * k}\n" for k in range(1, 8)) + "# end\n9d6  x\n"
     with pytest.raises(ValueError, match=r"^line 9: malformed census table line: '9d6  x'$"):
         parse_table(text)
+
+
+@pytest.mark.parametrize(
+    "row", ["0" * 5000 + "2d6  14871", "2d6  " + "0" * 5000 + "14871"], ids=["threshold", "count"]
+)
+@pytest.mark.parametrize("block", BLOCKS)
+def test_leading_zeros_are_bounded(monkeypatch, row, block):
+    # 5000 zeros pass every digit rule, but int() of the column would raise
+    # Python's own digit-limit error with no line number
+    monkeypatch.setattr(tables, "_BLOCK", block)
+    text = f"1d6  8169\n{row}\n"
+    expected = ("error", f"line 2: malformed census table line: {row!r}")
+    assert outcome(parse_table, text) == outcome(tables._parse_lines, text) == expected
+    assert outcome(reference_parse, text) == expected
 
 
 def test_first_bad_line_is_named():
