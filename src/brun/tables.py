@@ -19,15 +19,15 @@ sieving anything beyond the base.
 
 Every pass is a bulk pass.  Parsing reads each block of 4096 content
 lines with one regex split and converts its columns with mapped C calls;
-a file that fails any check is parsed again line by line, which names
-the malformed line.  Merging computes each threshold once, as an int64
-product when it is below 2^63, orders the rows with one stable argsort
-and checks duplicates and counts with vector comparisons; larger
-thresholds, and every conflict or decrease, take the dict merge, which
-raises the message.  The chain is an exact integer sum at the census's
-binary scale 2^61 (each step's lower end rounded down to a unit, its
-upper end up), two sums of floor divisions, rounded outward once and
-added to the base.
+when a block fails a check, its lines are read one at a time to find the
+first malformed one, which is named by its line number.  Merging computes
+each threshold once, orders the rows with one stable argsort and finds
+duplicates, conflicts and decreases with vector comparisons: on int64
+columns when every threshold and count is below 2^63, and on object
+arrays of Python ints otherwise.  The chain is an exact integer sum at
+the census's binary scale 2^61 (each step's lower end rounded down to a
+unit, its upper end up), two sums of floor divisions, rounded outward
+once and added to the base.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import repeat
-from operator import add, floordiv, itemgetter, le, mul, sub
+from operator import add, attrgetter, floordiv, itemgetter, le, mul, sub
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -108,15 +108,20 @@ def parse_table(text: str) -> list:
 
     Each block of content lines is read by one regex split.  When every
     line matches and passes the size and prediction checks, its rows are
-    built column by column; otherwise the line loop runs over the whole
-    text and names the first malformed line.
+    built column by column; otherwise the block's lines are read one at
+    a time, and the first that fails is named by its line number.
     """
     lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
     entries = []
     for start in range(0, len(lines), _BLOCK):
-        rows = _parse_block(lines[start : start + _BLOCK])
+        block = lines[start : start + _BLOCK]
+        rows = _parse_block(block)
         if rows is None:
-            return _parse_lines(text)
+            line = next(line for line in block if _parse_block([line]) is None)
+            # whether a line parses depends on its text alone, so no line
+            # before the first malformed one strips to the same text
+            number = list(map(str.strip, text.splitlines())).index(line) + 1
+            raise ValueError(f"line {number}: malformed census table line: {line!r}")
         entries += rows
     return entries
 
@@ -133,88 +138,52 @@ def _parse_block(lines: list):
     digits = list(map(add, map(len, map(str.lstrip, ks, repeat("0"))), exponents))
     if (
         max(digits) > _MAX_DIGITS
-        or not all(map(le, map(len, map(str.lstrip, pi2s, repeat("0"))), digits))
-        or not all(map(math.isfinite, map(float, filter(None, preds))))
+        or not all(map(le, map(len, map(str.lstrip, pi2s, repeat("0"))), digits))  # pi2(x) <= x
+        or not all(map(math.isfinite, map(float, filter(None, preds))))  # 1e999 parses as inf
     ):
         return None
     return list(map(CensusTableEntry._make, zip(map(int, ks), exponents, map(int, pi2s))))
 
 
-def _parse_lines(text: str) -> list:
-    """``parse_table`` one line at a time, raising at the first malformed line."""
-    entries = []
-    for number, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if m := _LINE.match(line):
-            k, n, pi2, pred = m.groups()
-            digits = len(k.lstrip("0")) + int(n)  # of the threshold
-        if (
-            m is None
-            or digits > _MAX_DIGITS
-            or len(pi2.lstrip("0")) > digits  # pi2(x) <= x
-            or not math.isfinite(float(pred or 0))  # 1e999 parses as inf
-        ):
-            raise ValueError(f"line {number}: malformed census table line: {line!r}")
-        entries.append(CensusTableEntry(int(k), int(n), int(pi2)))
-    return entries
-
-
 def _merge(rows: Sequence[CensusTableEntry]) -> tuple:
-    """(ascending thresholds, their counts, the indices in ``rows`` of
-    the first row at each), each threshold computed once.  The indices
-    are an int64 array on the int64 path, where a list of 1e5 Python
-    ints would raise the peak by about 4 MiB, and a list otherwise.
+    """(ascending thresholds, their counts, the int64 indices in ``rows``
+    of the first row at each), each threshold computed once; a count that
+    differs from the first row's at its threshold, or that falls, raises.
 
-    Below 2^63 one stable argsort of the int64 thresholds orders the rows
-    and vector comparisons find the duplicates; a threshold or count
-    beyond int64, a conflict and a decrease go to ``_merge_dict``.
+    The columns are int64 when every threshold and count is below 2^63,
+    and object arrays of Python ints otherwise: one stable argsort orders
+    the rows either way, and vector comparisons find the first conflict
+    (lowest index in ``rows``) and the first decrease.
     """
-    columns = _int64_columns(rows)
-    if columns is None:
-        return _merge_dict(rows)
-    t, c = columns
+    try:  # t holds the mantissas, scaled in place: no third column outlives its use
+        t, n, c = (np.array(list(map(itemgetter(i), rows)), dtype=np.int64) for i in range(3))
+        fits = ((0 <= n) & (n < len(_POW10))).all() and ((0 <= t) & (t <= _MAX_MANTISSA[n])).all()
+    except OverflowError:
+        fits = False
+    if fits:
+        t *= _POW10[n]
+    else:
+        t = np.array(list(map(attrgetter("threshold"), rows)), dtype=object)
+        c = np.array(list(map(itemgetter(2), rows)), dtype=object)
     order = np.argsort(t, kind="stable")  # the first row at a threshold stays first
     t, c = t[order], c[order]
     new = np.empty(len(t), dtype=bool)
-    new[0] = True
+    new[:1] = True
     np.not_equal(t[1:], t[:-1], out=new[1:])
-    # a duplicate repeats its count, and counts never fall
-    if (c[1:] < c[:-1]).any() or (c[1:] != c[:-1])[~new[1:]].any():
-        return _merge_dict(rows)
-    return t[new].tolist(), c[new].tolist(), order[new]
-
-
-def _int64_columns(rows: Sequence[CensusTableEntry]):
-    """The rows' thresholds and counts as int64 arrays, or None when
-    there are no rows or one of them does not fit."""
-    try:
-        k, n, c = (np.array(list(map(itemgetter(i), rows)), dtype=np.int64) for i in range(3))
-    except OverflowError:
-        return None
-    if not (
-        len(k) and 0 <= n.min() and n.max() < len(_POW10)
-        and 0 <= k.min() and (k <= _MAX_MANTISSA[n]).all()
-    ):
-        return None
-    return k * _POW10[n], c
-
-
-def _merge_dict(rows: Sequence[CensusTableEntry]) -> tuple:
-    """``_merge`` by dict at any size, raising at the first conflict or decrease."""
-    first = {}
-    for i, e in enumerate(rows):
-        prev = rows[first.setdefault(e.threshold, i)]
-        if prev.pi2 != e.pi2:
-            raise ValueError(f"conflicting counts at {e.label}: {prev.pi2} vs {e.pi2}")
-    thresholds = sorted(first)
-    index = [first[t] for t in thresholds]
-    counts = [rows[i].pi2 for i in index]
-    for i, j, a, b in zip(index, index[1:], counts, counts[1:]):
-        if b < a:
-            raise ValueError(f"pair count decreases from {rows[i].label} to {rows[j].label}")
-    return thresholds, counts, index
+    # the rows at a threshold keep their input order, so the first whose
+    # count differs from the first row's is the first to differ from the
+    # row before it, whose count is the first row's
+    conflicts = np.flatnonzero((c[1:] != c[:-1]) & ~new[1:]) + 1
+    if len(conflicts):
+        at = conflicts[np.argmin(order[conflicts])]
+        prev, e = rows[order[at - 1]], rows[order[at]]
+        raise ValueError(f"conflicting counts at {e.label}: {prev.pi2} vs {e.pi2}")
+    t, c, first = t[new], c[new], order[new]
+    falls = np.flatnonzero(c[1:] < c[:-1])
+    if len(falls):
+        i, j = first[falls[0]], first[falls[0] + 1]
+        raise ValueError(f"pair count decreases from {rows[i].label} to {rows[j].label}")
+    return t.tolist(), c.tolist(), first
 
 
 def _read_table_dir(path) -> tuple:

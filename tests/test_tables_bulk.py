@@ -13,6 +13,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,7 +156,7 @@ def tables_text(draw) -> str:
 
 # blocks of 1, 2 and 3 lines put block ends everywhere in a short table:
 # rows joined across blocks, and a later block failing after earlier ones
-# parsed, which must still give the whole text to the line loop
+# parsed, whose malformed line must still be named by its number in the text
 BLOCKS = [1, 2, 3, tables._BLOCK]
 
 
@@ -171,19 +172,25 @@ def test_parse_matches_line_loop(text, block):
         assert all(type(row) is CensusTableEntry for row in got[1])
 
 
+def count_block_calls(monkeypatch) -> list:
+    """A list that grows by one on each call of ``tables._parse_block``."""
+    calls, parse_block = [], tables._parse_block
+    monkeypatch.setattr(tables, "_parse_block", lambda lines: calls.append(1) or parse_block(lines))
+    return calls
+
+
 @pytest.mark.parametrize("block", BLOCKS)
 def test_clean_tables_take_the_bulk_path(monkeypatch, block):
-    def line_loop(text):
-        raise AssertionError("the line loop ran on a clean table")
-
-    monkeypatch.setattr(tables, "_parse_lines", line_loop)
+    calls = count_block_calls(monkeypatch)
     monkeypatch.setattr(tables, "_BLOCK", block)
     text = "# head\r\n1d6  8169\x851\u0660d5\xa08169\u3000 8248.5 \u2028\n2d6\x1f14871  -1e3\n"
     text += "00012d1  000042\n0001d308  1" + "0" * 308
     assert parse_table(text) == [
         (1, 6, 8169), (10, 5, 8169), (2, 6, 14871), (12, 1, 42), (1, 308, 10**308)
     ]
+    assert len(calls) == -(-5 // block)  # one call a block of the 5 content lines
     assert parse_table("1000d12  1177209242304  1177208491858.251") == [(1000, 12, 1177209242304)]
+    assert len(calls) == -(-5 // block) + 1
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -193,6 +200,22 @@ def test_late_block_failure_names_its_line(monkeypatch, block):
     with pytest.raises(ValueError, match=r"^line 9: malformed census table line: '9d6  x'$"):
         parse_table(text)
 
+
+def test_bad_line_in_a_late_block_is_read_alone(monkeypatch):
+    # three blocks and more of rows behind comments, blank lines and \r\n
+    # and \x85 ends; two malformed lines in the last block, the first of
+    # them named by its number, and only that block read line by line
+    calls = count_block_calls(monkeypatch)
+    raw = []
+    for k in range(1, 3 * tables._BLOCK + 100):
+        raw += ["# comment", ""] if k % 7 == 0 else []
+        raw.append(f"  {k}d6  {k}")
+    number = len(raw) - 40
+    raw[number - 1:number - 1] = ["9d6  x", "1d6  1  1e999"]
+    text = "".join(line + ("\r\n", "\x85", "\n")[i % 3] for i, line in enumerate(raw))
+    with pytest.raises(ValueError, match=rf"^line {number}: malformed census table line: '9d6  x'$"):
+        parse_table(text)
+    assert len(calls) <= 4 + tables._BLOCK
 
 @pytest.mark.parametrize(
     "row", ["0" * 5000 + "2d6  14871", "2d6  " + "0" * 5000 + "14871"], ids=["threshold", "count"]
@@ -204,8 +227,7 @@ def test_leading_zeros_are_bounded(monkeypatch, row, block):
     monkeypatch.setattr(tables, "_BLOCK", block)
     text = f"1d6  8169\n{row}\n"
     expected = ("error", f"line 2: malformed census table line: {row!r}")
-    assert outcome(parse_table, text) == outcome(tables._parse_lines, text) == expected
-    assert outcome(reference_parse, text) == expected
+    assert outcome(parse_table, text) == outcome(reference_parse, text) == expected
 
 
 def test_first_bad_line_is_named():
@@ -280,19 +302,22 @@ def test_chain_matches_reference(entries, data):
 
 
 def test_int64_path_and_its_edges(monkeypatch):
-    calls = []
-    dict_merge = tables._merge_dict
-    monkeypatch.setattr(tables, "_merge_dict", lambda rows: calls.append(1) or dict_merge(rows))
+    dtypes = []  # of the thresholds the one argsort orders
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda t, **kw: dtypes.append(t.dtype) or argsort(t, **kw))
     below = [CensusTableEntry(9, 18, 5), CensusTableEntry(1, 6, 3), CensusTableEntry(10, 5, 3)]
     thresholds, counts, first = _merge(below)
     assert (thresholds, counts, list(first)) == ([10**6, 9 * 10**18], [3, 5], [1, 0])
     assert _merge(below + [CensusTableEntry(2**63 - 1, 0, 2**63 - 1)])[0][-1] == 2**63 - 1
-    assert calls == []
-    # a threshold or a count at 2^63 and above takes the dict merge
+    assert dtypes == [np.int64, np.int64]
+    # a threshold or a count at 2^63 and above makes every column Python ints
     for extra in (CensusTableEntry(1, 19, 6), CensusTableEntry(1, 308, 6),
                   CensusTableEntry(92233720368547759, 2, 6), CensusTableEntry(92, 17, 2**63)):
-        assert _merge(below + [extra])[0][-1] == extra.threshold
-    assert len(calls) == 4
+        thresholds, counts, _ = _merge(below + [extra])
+        assert (thresholds[-1], counts[-1]) == (extra.threshold, extra.pi2)
+        assert all(type(x) is int for x in thresholds + counts)
+    assert dtypes[2:] == [object] * 4
+    assert tuple(map(list, _merge([]))) == ([], [], [])
 
 
 def test_first_conflict_and_first_decrease_are_named():
@@ -304,5 +329,11 @@ def test_first_conflict_and_first_decrease_are_named():
             CensusTableEntry(2, 6, 19000), CensusTableEntry(4, 6, 10)]
     with pytest.raises(ValueError, match=r"^pair count decreases from 3d6 to 4d6$"):
         _merge(rows)
+    rows = [CensusTableEntry(4, 6, 1), CensusTableEntry(3, 6, 5), CensusTableEntry(2, 6, 9),
+            CensusTableEntry(1, 6, 0)]  # two decreases: the first is named
+    with pytest.raises(ValueError, match=r"^pair count decreases from 2d6 to 3d6$"):
+        _merge(rows)
     with pytest.raises(ValueError, match=r"^pair count decreases from 1d19 to 1d308$"):
         _merge([CensusTableEntry(1, 308, 1), CensusTableEntry(1, 19, 2)])
+    with pytest.raises(ValueError, match=r"^conflicting counts at 1d19: 5 vs 6$"):
+        _merge(parse_table("10d18  5\n1d19  6\n"))
