@@ -51,12 +51,7 @@ def main():
 
     print(f"stage 1: self-contained, census to {args.limit:.0e}")
     counted = census(args.limit)
-    # at small thresholds the constant enclosures already make the tail
-    # integrand a few 1e-4 wide, so a 1e-6 certificate is unreachable;
-    # ask for a width the parameters can actually deliver
-    cert = brun_upper(
-        args.limit, counted.pi2, counted.brun_partial, width_target=1e-3
-    )
+    cert = brun_upper(args.limit, counted.pi2, counted.brun_partial)
     describe(cert)
 
     print()

@@ -20,7 +20,7 @@ from typing import Iterable, List
 import numpy as np
 
 from .interval import Interval
-from .rv_bound import QuadratureError, brun_upper
+from .rv_bound import brun_upper
 
 __all__ = [
     "DEFAULT_B_ASSUMED",
@@ -111,15 +111,6 @@ def project_table(ks: Iterable[int]) -> List[Projection]:
         x0 = 10**k
         pi2_pred = predict_pi2(float(x0))
         b_pred = predict_brun_partial(float(x0))
-        # Small thresholds put the start of the tail integral where the
-        # parameter enclosures alone exceed the default width target, so
-        # no mesh can reach it.  Projections are heuristic anyway: retry
-        # at a multiple of the width the first attempt proved reachable.
-        budget = 1 << 14
-        census = (x0, int(round(pi2_pred)), Interval.point(b_pred))
-        try:
-            cert = brun_upper(*census, max_pieces=budget)
-        except QuadratureError as exc:
-            cert = brun_upper(*census, width_target=4.0 * exc.achieved_width, max_pieces=budget)
+        cert = brun_upper(x0, int(round(pi2_pred)), Interval.point(b_pred))
         rows.append(Projection(k=k, pi2_pred=pi2_pred, b_pred=b_pred, upper_pred=cert.upper))
     return rows

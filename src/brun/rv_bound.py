@@ -21,10 +21,13 @@ certified partial sum,
     B <= B(x0) - 2 pi2(x0)/x0 + 16 C J + 4 kappa x0^(-1/2),
 
 where J = integral over u in [log x0, inf) of du/(u (u + F(e^u))).  J is
-split at a finite cutoff: below it an adaptive rigorous quadrature, above
-it F >= 0 gives the closed tail 1/cutoff.  Everything is directed
-rounding end to end, so the reported upper bound is a certified real
-number, not an estimate.
+bounded through its majorant, the integrand at C.hi and at the least F
+of the parameter box.  It is split at a finite cutoff: below it an
+adaptive rigorous quadrature on F's chords, above it F >= phi =
+F(cutoff) (F is nondecreasing) gives the closed tail
+(1/phi) log1p(phi/cutoff).  Everything is directed rounding end to end,
+so the reported upper bound is a certified real number, not an
+estimate.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ import math
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional
 
-from .interval import Interval, _down, _down2, _exp_ends, _frac_bracket, _up, _up2, rational_pow
+from .interval import Interval, _down, _frac_bracket, _up, rational_pow
 
 __all__ = [
     "BoundCertificate",
@@ -75,10 +79,11 @@ DEFAULT_SCAN_BOUND = Interval(1.0502, 1.0503)
 #: of the quadrature enclosure in ``brun_upper``.
 DEFAULT_CUTOFF_U = 20000.0
 DEFAULT_WIDTH_TARGET = 1e-6
-#: Default piece budget of every quadrature: an unreachable width target
-#: raises within seconds instead of grinding (the default certificate
-#: uses 4690 pieces).
+#: Piece budgets of a quadrature by default and of the tail's in
+#: ``brun_upper``: an unreachable width target raises within seconds
+#: instead of grinding (the default certificate uses 36 pieces, x0 = 1e8 280).
 DEFAULT_MAX_PIECES = 1 << 17
+TAIL_MAX_PIECES = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -316,8 +321,8 @@ def quadrature(
 
     Convenience front end over :func:`integrate_adaptive` using the
     zeroth-order rule; first-order convergence, so budget width targets
-    accordingly.  Callers that know more structure (convexity, a frozen
-    closed form) should build a sharper piece rule instead.
+    accordingly.  Callers that know more structure (convexity, concavity
+    of a part) should build a sharper piece rule instead.
     """
     return integrate_adaptive(
         enclosure_piece(integrand), u0, u1, width_target, max_pieces
@@ -337,85 +342,76 @@ def convex_piece(f: Callable[[Interval], Interval]) -> PieceFn:
     return piece
 
 
-def _correction_kernel(params: RVParams) -> Callable[[float], tuple]:
-    """``correction_term_log(Interval.point(u), params)`` as a float pair,
-    bit for bit, for a8, a9 >= 0 (see ``correction_piece``)."""
-    ha = Interval.from_fraction(params.alpha / 2)
-    a6, a7, a8, a9 = params.a6, params.a7, params.a8, params.a9
+def _majorant(params: RVParams) -> RVParams:
+    """The box's least F, its constants as points.  F rises with a6 and a7
+    and falls with a8 and a9, so 16 C.hi / (u (u + F)) bounds every integrand."""
+    ends = {"a6": params.a6.lo, "a7": params.a7.lo, "a8": params.a8.hi, "a9": params.a9.hi}
+    return replace(params, **{name: Interval.point(end) for name, end in ends.items()})
 
-    def correction(u: float) -> tuple:
-        if u <= 0.0:
-            raise ValueError(f"need positive log argument: {u}")
-        xa_lo, xa_hi = _exp_ends(_down(u * ha.lo), _up(u * ha.hi))
-        xs_lo, xs_hi = _exp_ends(_down(u * 0.5), _up(u * 0.5))
-        lo = _down(a6.lo + _down(a7.lo / u))
-        hi = _up(a6.hi + _up(a7.hi / u))
-        lo = _down(lo - _up(a8.hi / _down(xa_lo * u)))
-        hi = _up(hi - _down(a8.lo / _up(xa_hi * u)))
-        lo = _down(lo - _up(a9.hi / _down(xs_lo * u)))
-        hi = _up(hi - _down(a9.lo / _up(xs_hi * u)))
-        return max(0.0, lo), max(0.0, hi)
 
-    return correction
+def _log1p_ratio(z: Interval) -> Interval:
+    """log1p(z)/z for z > -1, 1 at z = 0.  It decreases in z."""
+
+    def at(x: float) -> Interval:
+        if abs(x) < 2.0**-53:  # within |x| of 1, where an ulp of x is not relative
+            return 1.0 + Interval(-abs(x), abs(x))
+        return Interval.point(x).log1p() / x
+
+    return Interval(at(z.hi).lo, at(z.lo).hi)
+
+
+def _linear_piece(s: float, e: float, fs: float, fe: float) -> Interval:
+    """The integral over [s, e] of du / (u (u + F)), F linear from fs at s to
+    fe at e (s + fs, e + fe > 0).  With u + F = R u + p it is log1p(z)/p,
+    z = p (e - s) / (s (R e + p)), taken as log1p(z)/z (e - s) / (s (e + fe)):
+    p (e - s) = fs e - fe s, so nothing cancels as p nears 0."""
+    s_iv, e_iv = Interval.point(s), Interval.point(e)
+    denom = s_iv * (e_iv + fe)
+    return _log1p_ratio((fs * e_iv - fe * s_iv) / denom) * ((e_iv - s_iv) / denom)
 
 
 def correction_piece(params: RVParams) -> PieceFn:
     """Piece rule for the tail integrand 16 C / (u (u + F(u))).
 
-    F is nondecreasing whenever a7 <= 0 <= a8, a9 (each term of F then
-    rises with u), so on a piece [a, b] it stays inside
-    [F(a).lo, F(b).hi].  With F frozen at a constant phi the integral has
-    the closed form
-
-        G(phi) = (1/phi) log( b (a + phi) / (a (b + phi)) ),
-
-    (1/a - 1/b at phi = 0), decreasing in phi, so G(F(b).hi).lo and
-    G(F(a).lo).hi bracket the true piece integral far tighter than a
-    zeroth-order rule.  The 16 C scale sits inside the rule so the
-    driver's width target applies to the integral exactly as it enters
-    the certificate.
-
-    Rounding contract: the rule runs on floats and computes only the
-    ends of F and G that it uses, nudging each correctly rounded
-    operation once outward and each log or exp twice, as the
-    ``Interval`` methods do.  Every operand's sign is known, so the
-    corner that ``Interval.__mul__``/``__truediv__`` would pick with
-    min/max is named in advance; round-to-nearest is monotone, so it is
-    the same double and the ends are bit-identical.  Only the lower end
-    of G can dip below 0 (on a thin piece): the upper end's ratio is
-    rounded up past its exact value, which exceeds 1.
-
-    F is evaluated once per node, memoized by the exact double u for
-    the life of the returned rule, so n pieces cost n + 1 evaluations.
+    It encloses the integral of the majorant, at C.hi and the box's least
+    F (``_majorant``).  With a7 <= 0 <= a8, a9, F before its clamp at 0 is
+    nondecreasing and concave (a7/u, -a8 x^(-alpha/2)/u and -a9 x^(-1/2)/u
+    each have a negative second derivative), so it lies on or above each
+    chord inside the chord's interval and on or below it outside.  On a
+    piece [a, b] with F(a) > 0 the upper end takes F on each quarter as
+    the chord through its nodes' lower ends; the lower end takes F on each
+    half as the other half's chord extended, through the near node's upper
+    end and the far node's lower end.  With F linear a piece has a closed
+    form (``_linear_piece``).  Where F(a).lo = 0 (F's root is near
+    u = 23.61), or on a piece too thin to quarter, F >= 0 gives the upper
+    end and F <= F(b).hi the lower end.  The 16 C scale sits inside the
+    rule, so ``integrate_adaptive``'s width target is the width that
+    enters the certificate.  F is evaluated by ``correction_term_log``
+    once per node, memoized by the exact double u for the rule's life.
     """
-    scale = 16 * params.twin_c
-    if not (params.a7.hi <= 0.0 <= min(params.a8.lo, params.a9.lo, scale.lo)):
-        raise ValueError(
-            "frozen-correction quadrature needs a7 <= 0 and a8, a9, C >= 0"
-        )
-    kernel = _correction_kernel(params)
-    f_at = {}
+    major = _majorant(params)
+    if not major.a7.hi <= 0.0 <= min(major.a8.lo, major.a9.lo):
+        raise ValueError("the chord rule needs a7 <= 0 <= a8, a9")
+    scale = 16 * Interval.point(params.twin_c.hi)
 
-    def correction(u: float) -> tuple:
-        if u not in f_at:
-            f_at[u] = kernel(u)
-        return f_at[u]
+    @cache
+    def correction(u: float) -> Interval:
+        return correction_term_log(Interval.point(u), major)
 
     def piece(a: float, b: float) -> Interval:
-        phi = correction(b)[1]
-        if phi == 0.0:
-            lo = _down(_down(1.0 / a) - _up(1.0 / b))
-        else:
-            ratio = _down(_down(b * _down(a + phi)) / _up(a * _up(b + phi)))
-            lo = _down(_down2(math.log(ratio)) / phi)
-        phi = correction(a)[0]
-        if phi == 0.0:
-            hi = _up(_up(1.0 / a) - _down(1.0 / b))
-        else:
-            ratio = _up(_up(b * _up(a + phi)) / _down(a * _down(b + phi)))
-            hi = _up(_up2(math.log(ratio)) / phi)
-        corner = scale.hi if lo < 0.0 else scale.lo
-        return Interval(_down(corner * lo), _up(scale.hi * hi))
+        m = 0.5 * (a + b)
+        nodes = (a, 0.5 * (a + m), m, 0.5 * (m + b), b)
+        f = [correction(u) for u in nodes]
+        if not (a < nodes[1] < m < nodes[3] < b and f[0].lo > 0.0):
+            hi, lo = _linear_piece(a, b, 0.0, 0.0), _linear_piece(a, b, f[4].hi, f[4].hi)
+            return scale * Interval(lo.lo, hi.hi)
+        hi = sum(_linear_piece(nodes[i], nodes[i + 1], f[i].lo, f[i + 1].lo) for i in range(4))
+        fm = Interval.point(f[2].hi)
+        ratio = (Interval.point(m) - a) / (Interval.point(b) - m)  # (m - a)/(b - m), about 1
+        fa = (fm + (fm - f[4].lo) * ratio).hi
+        fb = (fm + (fm - f[0].lo) / ratio).hi
+        lo = _linear_piece(a, m, fa, fm.hi) + _linear_piece(m, b, fm.hi, fb)
+        return scale * Interval(lo.lo, hi.hi)
 
     return piece
 
@@ -432,9 +428,11 @@ class BoundCertificate:
     is positive).  ``upper`` is brun_partial_x0.hi - pair_term.lo +
     integral.hi + 16 twin_c.hi tail_bound.hi + sqrt_tail.hi, summed
     exactly and rounded up once.  ``integral`` is the quadrature
-    enclosure of the 16 C scaled tail integrand over [log x0, cutoff_u];
-    ``tail_bound`` records the closed-form remainder of the integral
-    beyond the cutoff, before the 16 C scaling.
+    enclosure of the majorant's integral, 16 C.hi / (u (u + F)) with the
+    least F of the parameter box, over [log x0, cutoff_u]; its upper end
+    bounds the true tail integral.  ``tail_bound`` records the
+    closed-form remainder beyond the cutoff, (1/phi) log1p(phi/cutoff_u)
+    with phi the majorant's F(cutoff_u).lo, before the 16 C scaling.
     """
 
     x0: int
@@ -458,7 +456,6 @@ def brun_upper(
     brun_partial_x0: Interval,
     params: Optional[RVParams] = None,
     width_target: float = DEFAULT_WIDTH_TARGET,
-    max_pieces: int = DEFAULT_MAX_PIECES,
 ) -> BoundCertificate:
     """Certify an upper bound for the full reciprocal sum from a census.
 
@@ -466,7 +463,7 @@ def brun_upper(
     enclosure at x0.  The tail beyond x0 is bounded by the corrected
     counting bound through partial summation; the 16 C scaled integral
     runs in log coordinates from log x0 to ``DEFAULT_CUTOFF_U``, after
-    which F >= 0 leaves the closed tail 1/DEFAULT_CUTOFF_U.
+    which F >= F(DEFAULT_CUTOFF_U) leaves a closed log1p tail.
     ``width_target`` caps the quadrature enclosure width as it enters
     the certificate (default one digit beyond a six-decimal bound); the
     other terms are exact-input interval evaluations.
@@ -480,24 +477,16 @@ def brun_upper(
     if not (math.isfinite(brun_partial_x0.lo) and math.isfinite(brun_partial_x0.hi)):
         raise ValueError(f"partial sum enclosure must be finite: {brun_partial_x0}")
     if x0 < params.sqrt_valid_from:
-        raise ValueError(
-            f"x0 below the sqrt coefficient validity floor "
-            f"{params.sqrt_valid_from}"
-        )
-    # float(x0) is finite (or from_int raises), so log x0 < 710 < cutoff
-    quad = integrate_adaptive(
-        correction_piece(params),
-        # starting below the true log x0 only widens the enclosure
-        Interval.from_int(x0).log().lo,
-        DEFAULT_CUTOFF_U,
-        width_target,
-        max_pieces,
-    )
-    tail = 1 / Interval.point(DEFAULT_CUTOFF_U)
+        raise ValueError(f"x0 below the sqrt coefficient validity floor {params.sqrt_valid_from}")
+    # float(x0) is finite (or from_int raises), so log x0 < 710 < cutoff;
+    # starting below the true log x0 only widens the enclosure
+    u0 = Interval.from_int(x0).log().lo
+    rule = correction_piece(params)
+    quad = integrate_adaptive(rule, u0, DEFAULT_CUTOFF_U, width_target, TAIL_MAX_PIECES)
+    phi = correction_term_log(Interval.point(DEFAULT_CUTOFF_U), _majorant(params)).lo
+    tail = _log1p_ratio(Interval.point(phi) / DEFAULT_CUTOFF_U) / DEFAULT_CUTOFF_U
     pair_term = Interval.from_fraction(Fraction(2 * pi2_x0, x0))
-    sqrt_tail = 4 * params.sqrt_coefficient * rational_pow(
-        Interval.from_int(x0), -1, 2
-    )
+    sqrt_tail = 4 * params.sqrt_coefficient * rational_pow(Interval.from_int(x0), -1, 2)
     # C and the closed tail are positive: 16 C.hi tail.hi bounds their product
     upper = sum(map(Fraction, (brun_partial_x0.hi, -pair_term.lo, quad.value.hi, sqrt_tail.hi)))
     upper += 16 * Fraction(params.twin_c.hi) * Fraction(tail.hi)

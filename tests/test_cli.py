@@ -134,15 +134,15 @@ class TestArtifacts:
         (["h-bound", "--cutoff", "1e5"], "--json",
          "f81c40a9bff950a0e48e0b90e7d4debfd408ed990d23b313ae9a73f68928c555"),
         (CERTIFY_NUMERIC, "--out",
-         "380f701668dda6ccc6b2fc0fff2e2818afa2b6f31d872f4d12c083147440a859"),
+         "c1b7b48eca1e298866eae8571165ec639fdaece94759f5374401198f5ed06981"),
         (CERTIFY_TABLES, "--out",
-         "5cc51ba760d104374fae3ea5cd71928f4073ae69de6bb0666e8fa2caf0bdc423"),
+         "65919af631e7bb979bc418ef0324f0d11b3f46545401f6a98793d8867e11f161"),
         # project writes a constant, b_assumed, under inputs; the improved
         # certify drops a report field, the params' sqrt_valid_from
         (["project", "--ks", "19,20"], "--json",
-         "a0ae62946c5c90f57cd2e4de44ee2c7679a4d9bec8aaeb50bd0f351fa36b5f4c"),
+         "2ea7b991d34801177ffe58141122956e1e74d284edf4befb7322e9d89a3e8d68"),
         (CERTIFY_NUMERIC + ["--improved"], "--out",
-         "61301e223dfb5ad0340b78bbc19228f508185e6f9ffbc90086f692fed0fccdfa"),
+         "f7cf01c99d8c2c448d2638d2f8bee6aa71e093a74e1f705e7cb736c0bc055959"),
     ]
 
     @pytest.mark.parametrize("argv, flag, digest", PINS, ids=[
@@ -448,9 +448,10 @@ class TestCertify:
         assert a.read_bytes() == b.read_bytes()
         result = json.loads(a.read_text())["result"]
         assert result["lower_hex"] == "0x1.d47b0661502bcp+0"
-        # below its pin before the certificate's terms were one exact sum
-        # rounded once, 0x1.314a1143324b9p+1
-        assert result["upper_hex"] == "0x1.314a1143324b4p+1"
+        # below its pin of the frozen-F rule and the 1/cutoff tail,
+        # 0x1.314a1143324b4p+1 (0x1.314a1143324b9p+1 before the terms
+        # were one exact sum rounded once)
+        assert result["upper_hex"] == "0x1.313fa900ff655p+1"
 
     def test_table_route_must_reach_x0(self, table_dir, capsys):
         rc = main([

@@ -17,11 +17,13 @@ from brun.projection import (
 # published census count at 2e16, for the accuracy spot check
 PI2_2E16 = 19831847025792
 
-# frozen projection rows computed independently at high precision
+# frozen projection rows computed independently at high precision; the
+# uppers take the majorant's log1p tail beyond u = 20000 (with the earlier
+# 1/20000 tail they read 2.2812178, 2.2640745 and 1.9998039)
 ROWS = {
-    19: (7.23752e15, 1.8418017, 2.2812178),
-    20: (6.51543e16, 1.8448197, 2.2640745),
-    80: (3.93402e75, 1.8878254, 1.9998039),
+    19: (7.23752e15, 1.8418017, 2.2812175237),
+    20: (6.51543e16, 1.8448197, 2.2640742782),
+    80: (3.93402e75, 1.8878254, 1.9998036495),
 }
 
 
@@ -106,13 +108,12 @@ class TestProjectTable:
         rows = project_table([20, 20])
         assert len(rows) == 1
 
-    def test_small_threshold_falls_back_to_reachable_width(self):
-        # below ~1e19 the tail quadrature cannot reach the default width
-        # target, so the row is built from a coarser but feasible run
-        row = project_table([12])[0]
-        assert math.isfinite(row.upper_pred)
-        assert 2.3 < row.upper_pred < 3.0
-        assert row.b_pred < row.upper_pred
+    def test_small_threshold_reaches_default_width(self):
+        # the tail quadrature reaches the default width target from x0 = 1e7
+        rows = project_table(range(7, 21))
+        assert [row.k for row in rows] == list(range(7, 21))
+        assert all(row.b_pred < row.upper_pred < 3.0 for row in rows)
+        assert 2.3 < rows[12 - 7].upper_pred
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 import math
 import random
-import sys
+import time
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -30,7 +30,7 @@ from brun.rv_bound import (
     pi2_upper,
     quadrature,
 )
-from conftest import assert_pinned
+from conftest import hex_ends
 
 X0 = 4 * 10**18
 PI2_X0 = 3023463123235320
@@ -50,9 +50,13 @@ F_AT_LOG_X0 = Decimal("8.437248278309599768651149")
 F_AT_100 = Decimal("8.644746742745429568217541")
 F_AT_400LOG10 = Decimal("8.717237884843872351237868")
 F_AT_20000 = Decimal("8.725660478874488491872306")
-UPPER_STD = Decimal("2.288512619435019129755816")
-UPPER_IDEAL = Decimal("2.285451962761465830802934")
-UPPER_IMPROVED = Decimal("2.288512615641100751798359")
+# the three uppers take the tail beyond u = 20000 as log1p(phi/20000)/phi,
+# phi = F_AT_20000 (9.27436 idealized); with the earlier 1/20000 they read
+# 2.288512619435019129755816, 2.285451962761465830802934 and
+# 2.288512615641100751798359
+UPPER_STD = Decimal("2.288512389088035424709402")
+UPPER_IDEAL = Decimal("2.285451717933948338434068")
+UPPER_IMPROVED = Decimal("2.288512385294117046751945")
 PI2_UPPER_1E9 = Decimal("24658657.92309592556031065")
 PI2_UPPER_X0 = Decimal("19239328500606297.16931245")
 J_SCALED = Decimal("0.448450087796636789755816")
@@ -194,103 +198,52 @@ PARAM_SETS = pytest.mark.parametrize(
 )
 
 
-def ulps(x: float, k: int) -> float:
-    """x moved k doubles up (k > 0) or down (k < 0)."""
-    toward = math.inf if k > 0 else -math.inf
-    for _ in range(abs(k)):
-        x = math.nextafter(x, toward)
-    return x
+def majorant_integral(params, a: float, b: float) -> mpmath.mpf:
+    """16 C.hi times the integral over [a, b] of du / (u (u + F)), F at its
+    box's least constants a6.lo, a7.lo, a8.hi, a9.hi, at 40 digits."""
+    a6, a7 = (mpmath.mpf(x.lo) for x in (params.a6, params.a7))
+    a8, a9 = (mpmath.mpf(x.hi) for x in (params.a8, params.a9))
+
+    def f(u):
+        return a6 + a7 / u - a8 * mpmath.exp(-u / 5) / u - a9 * mpmath.exp(-u / 2) / u
+
+    points = [mpmath.mpf(a), mpmath.mpf(b)]
+    if f(points[0]) < 0 < f(points[1]):  # F's clamp at 0 has a kink at the root
+        points.insert(1, mpmath.findroot(f, tuple(points), solver="anderson"))
+    value, error = mpmath.quad(lambda u: 1 / (u * (u + max(0, f(u)))), points, error=True)
+    assert error < mpmath.mpf(10) ** -30
+    return 16 * mpmath.mpf(params.twin_c.hi) * value
 
 
-def first_positive(f, lo: float, hi: float) -> float:
-    """The least double in (lo, hi] where the nondecreasing f is > 0,
-    given f(lo) == 0 < f(hi)."""
-    while math.nextafter(lo, hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def reference_piece(params, a: float, b: float) -> Interval:
-    """The frozen-F piece rule written in Interval arithmetic."""
-    ia, ib = Interval.point(a), Interval.point(b)
-
-    def closed_form(phi: float) -> Interval:
-        if phi == 0.0:
-            return 1 / ia - 1 / ib
-        p = Interval.point(phi)
-        return ((ib * (ia + p)) / (ia * (ib + p))).log() / p
-
-    f_lo = correction_term_log(ia, params).lo
-    f_hi = correction_term_log(ib, params).hi
-    return (16 * params.twin_c) * Interval(
-        closed_form(f_hi).lo, closed_form(f_lo).hi
-    )
-
-
-class TestFloatKernel:
-    """The quadrature's float kernel against the Interval operations."""
+class TestCorrectionPiece:
+    """The chord rule against the majorant's integral."""
 
     @PARAM_SETS
-    def test_correction_bits(self, make_params):
-        p = make_params()
-        kernel = rv_bound._correction_kernel(p)
-        log_max = math.log(sys.float_info.max)
-        # 18: F clamped to 0; 23.61: F's zero; then 4 ulps either side of
-        # where exp(u/2) and exp(u/5) overflow, which covers neither end,
-        # only the upper end, and both ends overflowing
-        grid = [18.0, 23.61, math.log(4e18), 20000.0]
-        for threshold in (2 * log_max, 5 * log_max):
-            grid += [ulps(threshold, k) for k in range(-4, 5)]
-        for end in ("lo", "hi"):
-            f = lambda u: getattr(correction_term_log(Interval.point(u), p), end)
-            if f(18.0) == 0.0:
-                # just past its zero an end is tiny, so its last ulps show
-                zero = first_positive(f, 18.0, 30.0)
-                grid += [zero + k * 2e-13 for k in range(-2, 8)]
-        for u in grid:
-            ref = correction_term_log(Interval.point(u), p)
-            assert tuple(x.hex() for x in kernel(u)) == (ref.lo.hex(), ref.hi.hex()), u
-
-    def test_correction_domain(self):
-        with pytest.raises(ValueError):
-            rv_bound._correction_kernel(derive_params())(0.0)
-
-    def test_piece_needs_positive_scale(self):
-        # the kernel names each product's corner from C > 0
-        with pytest.raises(ValueError):
-            correction_piece(replace(idealized_params(), twin_c=Interval(-1.0, 1.0)))
-
-    @PARAM_SETS
-    def test_piece_bits(self, make_params):
+    def test_encloses_majorant_integral(self, make_params):
         p = make_params()
         rng = random.Random(20181)
         pieces = []
-        for _ in range(80):  # anywhere in the range, any length
-            a = math.exp(rng.uniform(math.log(18.0), math.log(20000.0)))
-            b = min(20000.0, a + a * 10 ** rng.uniform(-12.0, 0.5))
-            pieces.append((a, b))
-        for _ in range(60):  # around F's zero, so phi == 0 on either side
-            a = rng.uniform(18.0, 30.0)
-            pieces.append((a, rng.uniform(a, 30.0)))
-        for _ in range(60):  # a few ulps long, where the lower end can dip below 0
-            a = math.exp(rng.uniform(math.log(18.0), math.log(20000.0)))
-            pieces.append((a, ulps(a, rng.randint(1, 64))))
+        for _ in range(15):  # below F's root at u = 23.61, where F = 0
+            a = rng.uniform(16.0, 23.0)
+            pieces.append((a, rng.uniform(a, 23.5)))
+        for _ in range(15):  # across it
+            pieces.append((rng.uniform(16.0, 23.5), rng.uniform(23.7, 40.0)))
+        for _ in range(30):  # above it, anywhere, any length
+            a = math.exp(rng.uniform(math.log(24.0), math.log(20000.0)))
+            pieces.append((a, min(20000.0, a + a * 10 ** rng.uniform(-6.0, 0.5))))
+        for _ in range(10):  # a few ulps long, too thin to quarter
+            a = math.exp(rng.uniform(math.log(24.0), math.log(20000.0)))
+            pieces.append((a, a + rng.randint(1, 3) * math.ulp(a)))
         rule = correction_piece(p)
-        negative = 0
-        for a, b in pieces:
-            assert a < b
-            got, ref = rule(a, b), reference_piece(p, a, b)
-            assert (got.lo.hex(), got.hi.hex()) == (ref.lo.hex(), ref.hi.hex()), (a, b)
-            negative += got.lo < 0.0
-        assert negative > 0
-        if p.a8.hi > 0.0:  # F is 0 only where a8 pulls it below zero
-            kernel = rv_bound._correction_kernel(p)
-            assert any(kernel(b)[1] == 0.0 for _, b in pieces)
-            assert any(kernel(a)[0] == 0.0 < kernel(b)[1] for a, b in pieces)
+        with mpmath.workdps(40):
+            for a, b in pieces:
+                got = rule(a, b)
+                assert got.lo <= majorant_integral(p, a, b) <= got.hi, (a, b, got)
+
+    def test_needs_concave_correction(self):
+        # the chords need a7 <= 0 <= a8, a9 at the majorant's ends
+        with pytest.raises(ValueError, match="a7 <= 0"):
+            correction_piece(replace(derive_params(), a7=Interval(1.0, 2.0)))
 
 
 class TestPi2Upper:
@@ -391,8 +344,10 @@ class TestBrunUpper:
         assert cert.pi2_x0 == PI2_X0
         assert cert.cutoff_u == 20000.0
         assert contains(cert.integral, J_SCALED)
-        tw = Fraction(1, 20000)
-        assert Fraction(cert.tail_bound.lo) <= tw <= Fraction(cert.tail_bound.hi)
+        with mpmath.workdps(30):
+            phi = mpmath.mpf(str(F_AT_20000))
+            tail = mpmath.log1p(phi / 20000) / phi
+        assert cert.tail_bound.lo <= tail <= cert.tail_bound.hi < 1 / 20000
         # x0 = 4e18 has an exact double square root, so the sqrt tail is
         # 8 / 2e9 up to rounding
         st = Fraction(8, 2 * 10**9)
@@ -405,55 +360,80 @@ class TestBrunUpper:
         [
             (
                 derive_params,
-                "0x1.24edfc76b796ap+1",
-                ("0x1.cb36466a61b58p-2", "0x1.cb368985cf531p-2"),
-                4690,
-                ("0x1.24edfc76b7a53p+1", ("0x1.cb36466a61429p-2", "0x1.cb368985cfc6ap-2")),
+                "0x1.24edf9b98673ap+1",
+                ("0x1.cb3642dcf2e99p-2", "0x1.cb3683119afa9p-2"),
+                36,
+                ("0x1.24edfc76b796ap+1", ("0x1.cb36466a61b58p-2", "0x1.cb368985cf531p-2")),
             ),
             (
                 lambda: derive_params(improved_at=X0),
-                "0x1.24edfc6e91dbcp+1",
-                ("0x1.cb36466a619fdp-2", "0x1.cb368985cf3adp-2"),
-                4690,
-                ("0x1.24edfc6e91ea5p+1", ("0x1.cb36466a612c7p-2", "0x1.cb368985cfae2p-2")),
+                "0x1.24edf9b160b91p+1",
+                ("0x1.cb3642dcf2d45p-2", "0x1.cb3683119ae4fp-2"),
+                36,
+                ("0x1.24edfc6e91dbcp+1", ("0x1.cb36466a619fdp-2", "0x1.cb368985cf3adp-2")),
             ),
             (
                 idealized_params,
-                "0x1.2489b09e51dbbp+1",
-                ("0x1.c8141464017f2p-2", "0x1.c8142b0759ab4p-2"),
+                "0x1.2489ae908e81ap+1",
+                ("0x1.c8142b0759a7cp-2", "0x1.c8142b0759a9dp-2"),
                 1,
-                ("0x1.2489b09e51dbep+1", ("0x1.c8141464017f2p-2", "0x1.c8142b0759ab4p-2")),
+                ("0x1.2489b09e51dbbp+1", ("0x1.c8141464017f2p-2", "0x1.c8142b0759ab4p-2")),
             ),
         ],
         ids=["default", "improved", "idealized"],
     )
     def test_exact_bits(self, make_params, upper, integral, pieces, before):
         # pins the certificate's bits, not only its 1e-6 window; ``before``
-        # holds the pins from before each total was one exact sum rounded once
+        # holds the pins of the frozen-F rule and the 1/cutoff tail.  The
+        # integral's lower end now bounds the majorant's integral, not the
+        # integrand's over the parameter box, so only its upper end nests
         cert = brun_upper(X0, PI2_X0, PARTIAL_X0, params=make_params())
         old_upper, old_integral = before
         assert cert.upper.hex() == upper
         assert float.fromhex(upper) <= float.fromhex(old_upper)
         assert cert.quad_pieces == pieces
-        assert_pinned(cert.integral, integral, old_integral)
+        assert hex_ends(cert.integral) == integral
+        assert float.fromhex(integral[1]) <= float.fromhex(old_integral[1])
 
     def test_correction_evaluated_once_per_node(self, monkeypatch):
-        # a bisection reuses its parent's end values: n pieces, n + 1 nodes
+        # each bisection adds two pieces and four quarter points: n pieces,
+        # 4n + 1 nodes, each evaluated once
         calls = []
-        make_kernel = rv_bound._correction_kernel
+        evaluate = rv_bound.correction_term_log
 
-        def counting_kernel(params):
-            kernel = make_kernel(params)
+        def counting(u, params):
+            calls.append(u.lo)
+            return evaluate(u, params)
 
-            def counting(u):
-                calls.append(u)
-                return kernel(u)
+        monkeypatch.setattr(rv_bound, "correction_term_log", counting)
+        rule = correction_piece(derive_params())
+        quad = integrate_adaptive(rule, Interval.from_int(X0).log().lo, 20000.0, 1e-6)
+        assert len(calls) == len(set(calls)) == 4 * quad.pieces + 1
 
-            return counting
+    def test_census_1e8_within_a_second(self):
+        # census(10**8)'s pinned ends, as CI checks them, so nothing is sieved
+        partial = Interval(*map(float.fromhex, ("0x1.c241bd942e188p+0", "0x1.c241bd942e841p+0")))
+        start = time.perf_counter()
+        cert = brun_upper(10**8, 440312, partial)
+        assert time.perf_counter() - start < 1.0
+        assert cert.integral.width <= 1e-6
+        assert cert.lower == partial.lo < 2.288513 < cert.upper < 3.0
 
-        monkeypatch.setattr(rv_bound, "_correction_kernel", counting_kernel)
-        cert = brun_upper(X0, PI2_X0, PARTIAL_X0)
-        assert 0 < len(calls) <= cert.quad_pieces + 1
+    def test_narrower_h_never_raises_upper(self):
+        # a tighter F can only lower the certificate: nested H windows,
+        # in steps of an eighth of the default's log width and of one ulp
+        lo, hi = DEFAULT_H_LOG.lo, DEFAULT_H_LOG.hi
+        h = DEFAULT_H_LOG.exp()
+        windows = [h]
+        for _ in range(8):
+            windows.append(Interval(h.lo, math.nextafter(windows[-1].hi, 0.0)))
+        windows += [Interval(lo, hi - (hi - lo) * k / 8).exp() for k in range(1, 9)]
+        for extra in ({}, {"improved_at": X0}):
+            for wide, narrow in zip(windows, windows[1:]):
+                assert narrow.issubset(wide)
+                before = brun_upper(X0, PI2_X0, PARTIAL_X0, params=derive_params(h=wide, **extra))
+                after = brun_upper(X0, PI2_X0, PARTIAL_X0, params=derive_params(h=narrow, **extra))
+                assert after.upper <= before.upper
 
     def test_idealized_reference(self):
         cert = brun_upper(X0, PI2_X0, PARTIAL_X0, params=idealized_params())
@@ -485,14 +465,17 @@ class TestBrunUpper:
                 brun_upper(X0, PI2_X0, partial)
 
     def test_unreachable_target_raises(self):
+        rule = correction_piece(derive_params())
         with pytest.raises(QuadratureError):
-            brun_upper(
-                X0, PI2_X0, PARTIAL_X0, width_target=1e-9, max_pieces=2000
-            )
+            integrate_adaptive(rule, math.log(X0), 20000.0, width_target=1e-9, max_pieces=20)
 
     def test_default_budget_stops_an_unreachable_target(self):
-        # the default piece budget fails in seconds, not minutes
+        # the tail's piece budget fails in seconds, not minutes, and says
+        # how far it got
+        start = time.perf_counter()
         with pytest.raises(QuadratureError) as exc:
             brun_upper(X0, PI2_X0, PARTIAL_X0, width_target=1e-300)
-        assert exc.value.pieces == rv_bound.DEFAULT_MAX_PIECES == 1 << 17
-        assert exc.value.achieved_width > 1e-7
+        assert time.perf_counter() - start < 3.0
+        assert exc.value.pieces == rv_bound.TAIL_MAX_PIECES == 1 << 11
+        assert 0.0 < exc.value.achieved_width < 1e-9
+        assert f"width {exc.value.achieved_width:.3e} above target" in str(exc.value)
