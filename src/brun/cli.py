@@ -46,9 +46,9 @@ from .tables import (
     DEFAULT_BASE_ENCLOSURE,
     DEFAULT_BASE_THRESHOLD,
     _entry_at,
+    _extend,
     _read_table_dir,
     emit_table,
-    extend_partial_sum,
 )
 
 __all__ = ["main"]
@@ -178,9 +178,9 @@ def _chain_tables(args: argparse.Namespace) -> tuple:
         )
     if not Path(tables).is_dir():
         raise UsageError(f"directory not found: {tables}")
-    rows, input_files = _read_table_dir(tables)
+    columns, input_files = _read_table_dir(tables)
     base = _outward_from_decimals(args.base_lo, args.base_hi)
-    return extend_partial_sum(args.base_x, base, rows), tables, input_files
+    return _extend(args.base_x, base, columns), tables, input_files
 
 
 def _print_census(result: TwinCensus) -> None:

@@ -285,6 +285,38 @@ class TestExtend:
         data = (tmp_path / "excerpt.txt").read_bytes()
         assert hashes["excerpt.txt"] == hashlib.sha256(data).hexdigest()
 
+    def test_directory_named_txt_is_not_read(self, table_dir, tmp_path):
+        # a directory matches *.txt too; only regular files are tables
+        (tmp_path / "sub.txt").mkdir()
+        (tmp_path / "sub.txt" / "rows.txt").write_text("1d6  8169\n")
+        artifact = tmp_path / "extend.json"
+        assert main(EXTEND_FIXTURES[:2] + [table_dir] + EXTEND_FIXTURES[3:] + ["--json", str(artifact)]) == 0
+        payload = json.loads(artifact.read_text())
+        assert set(payload["inputs"]["input_files"]) == {"excerpt.txt"}
+        assert payload["pi2"] == 1178316017996
+
+    def test_table_routes_build_no_rows(self, table_dir, monkeypatch):
+        built = []
+
+        class CountingEntry(tables.CensusTableEntry):
+            __slots__ = ()
+
+            def __new__(cls, *args, **kwargs):
+                built.append(1)
+                return super().__new__(cls, *args, **kwargs)
+
+            @classmethod
+            def _make(cls, iterable):
+                built.append(1)
+                return super()._make(iterable)
+
+        monkeypatch.setattr(tables, "CensusTableEntry", CountingEntry)
+        options = ["--tables", table_dir, "--base-x", "1e15", "--base-lo", "1.83", "--base-hi", "1.84"]
+        assert main(["extend"] + options) == 0
+        assert main(["certify", "--x0", "1001e12", "--width-target", "1e-3"] + options) == 0
+        assert built == []
+        assert len(tables.load_table_dir(table_dir)) == len(built) == 2  # the count sees rows
+
     def test_bad_prediction_names_file_and_line(self, table_dir, capsys):
         with open(f"{table_dir}/late.txt", "w") as f:
             f.write("# more rows\n1002d12  1179421000000  1e\n")
@@ -469,9 +501,9 @@ class TestCertify:
         calls = []
         merge = tables._merge
 
-        def counting_merge(entries):
+        def counting_merge(*columns):
             calls.append(1)
-            return merge(entries)
+            return merge(*columns)
 
         monkeypatch.setattr(tables, "_merge", counting_merge)
         out = tmp_path / "cert.json"

@@ -5,9 +5,12 @@ per-row loops that ``parse_table``, ``_merge`` and the chain of
 ``extend_partial_sum`` used before they became bulk passes, kept here as
 the specification: on every input both sides return the same rows,
 thresholds and enclosure bits, or raise the same ``ValueError`` text.
+The int64 chain's long division is checked against Python's ``//``.
 """
 
+import json
 import math
+import os
 import random
 import re
 from bisect import bisect_left
@@ -19,9 +22,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brun import tables
+from brun.cli import main
 from brun.interval import Interval, _frac_bracket
 from brun.sieve import _SCALE
-from brun.tables import CensusTableEntry, _merge, extend_partial_sum, parse_table
+from brun.tables import (
+    DEFAULT_BASE_ENCLOSURE,
+    CensusTableEntry,
+    _column,
+    _merge,
+    _unit_quotients,
+    extend_partial_sum,
+    parse_table,
+)
 
 REF_LINE = re.compile(
     r"^(?P<k>(?!0{310})0*[1-9]\d*)d(?P<n>\d{1,3})\s+(?P<pi2>(?!0{310})\d+)"
@@ -238,7 +250,8 @@ def test_first_bad_line_is_named():
 
 # -- _merge and the chain ----------------------------------------------
 
-BIG = [9 * 10**18, 2**63 - 1, 2**63, 10**19, 10**308]  # both sides of 2^63
+# both sides of the int64 columns' bound (threshold + 2 < 2^62) and of 2^63
+BIG = [2**62 - 3, 2**62 - 2, 9 * 10**18, 2**63 - 1, 2**63, 10**19, 10**308]
 
 
 def spell(threshold: int, rng: random.Random) -> tuple:
@@ -256,7 +269,7 @@ def merge_inputs(draw) -> list:
     small = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=20))
     big = draw(st.lists(st.sampled_from(BIG), max_size=3))
     thresholds = sorted(set(t * 10 ** draw(st.integers(0, 12)) for t in small) | set(big))
-    count = st.integers(0, 10**15) | st.sampled_from([2**63 - 1, 2**63, 10**20])
+    count = st.integers(0, 10**15) | st.sampled_from([2**62 - 1, 2**62, 2**63 - 1, 2**63, 10**20])
     counts = sorted(draw(st.lists(count, min_size=len(thresholds), max_size=len(thresholds))))
     table = [CensusTableEntry(*spell(t, rng), c) for t, c in zip(thresholds, counts)]
     entries = table + [CensusTableEntry(*spell(row.threshold, rng), row.pi2)
@@ -268,11 +281,15 @@ def merge_inputs(draw) -> list:
     return entries
 
 
+def merge_rows(entries) -> tuple:
+    return _merge(*(_column([row[i] for row in entries]) for i in range(3)))
+
+
 def split_merge(entries) -> tuple:
-    thresholds, counts, first = _merge(entries)
+    thresholds, counts, first = merge_rows(entries)
     rows = [entries[i] for i in first]
-    assert counts == [row.pi2 for row in rows]
-    return thresholds, rows
+    assert counts.tolist() == [row.pi2 for row in rows]
+    return thresholds.tolist(), rows
 
 
 @settings(max_examples=200, deadline=None)
@@ -305,35 +322,130 @@ def test_int64_path_and_its_edges(monkeypatch):
     dtypes = []  # of the thresholds the one argsort orders
     argsort = np.argsort
     monkeypatch.setattr(np, "argsort", lambda t, **kw: dtypes.append(t.dtype) or argsort(t, **kw))
-    below = [CensusTableEntry(9, 18, 5), CensusTableEntry(1, 6, 3), CensusTableEntry(10, 5, 3)]
-    thresholds, counts, first = _merge(below)
-    assert (thresholds, counts, list(first)) == ([10**6, 9 * 10**18], [3, 5], [1, 0])
-    assert _merge(below + [CensusTableEntry(2**63 - 1, 0, 2**63 - 1)])[0][-1] == 2**63 - 1
+    below = [CensusTableEntry(4, 18, 5), CensusTableEntry(1, 6, 3), CensusTableEntry(10, 5, 3)]
+    thresholds, counts, first = merge_rows(below)
+    assert (thresholds.tolist(), counts.tolist(), list(first)) == ([10**6, 4 * 10**18], [3, 5], [1, 0])
+    # the last threshold and count of the int64 columns: threshold + 2 and count below 2^62
+    assert merge_rows(below + [CensusTableEntry(2**62 - 3, 0, 2**62 - 1)])[0][-1] == 2**62 - 3
     assert dtypes == [np.int64, np.int64]
-    # a threshold or a count at 2^63 and above makes every column Python ints
-    for extra in (CensusTableEntry(1, 19, 6), CensusTableEntry(1, 308, 6),
-                  CensusTableEntry(92233720368547759, 2, 6), CensusTableEntry(92, 17, 2**63)):
-        thresholds, counts, _ = _merge(below + [extra])
+    # a threshold + 2 or a count at 2^62 and above makes every column Python ints
+    for extra in (CensusTableEntry(2**62 - 2, 0, 6), CensusTableEntry(2**62 - 3, 0, 2**62),
+                  CensusTableEntry(2**63 - 1, 0, 2**63 - 1), CensusTableEntry(1, 19, 6),
+                  CensusTableEntry(1, 308, 6), CensusTableEntry(92233720368547759, 2, 6),
+                  CensusTableEntry(46116860184273880, 2, 6), CensusTableEntry(92, 17, 2**63)):
+        thresholds, counts, _ = merge_rows(below + [extra])
         assert (thresholds[-1], counts[-1]) == (extra.threshold, extra.pi2)
-        assert all(type(x) is int for x in thresholds + counts)
-    assert dtypes[2:] == [object] * 4
-    assert tuple(map(list, _merge([]))) == ([], [], [])
+        assert all(type(x) is int for x in thresholds.tolist() + counts.tolist())
+    assert dtypes[2:] == [object] * 8
+    assert tuple(map(list, merge_rows([]))) == ([], [], [])
 
 
 def test_first_conflict_and_first_decrease_are_named():
     rows = [CensusTableEntry(2, 6, 14871), CensusTableEntry(1, 6, 8169),
             CensusTableEntry(20, 5, 14872), CensusTableEntry(10, 5, 8170)]
     with pytest.raises(ValueError, match=r"^conflicting counts at 20d5: 14871 vs 14872$"):
-        _merge(rows)
+        merge_rows(rows)
     rows = [CensusTableEntry(3, 6, 20000), CensusTableEntry(1, 6, 8169),
             CensusTableEntry(2, 6, 19000), CensusTableEntry(4, 6, 10)]
     with pytest.raises(ValueError, match=r"^pair count decreases from 3d6 to 4d6$"):
-        _merge(rows)
+        merge_rows(rows)
     rows = [CensusTableEntry(4, 6, 1), CensusTableEntry(3, 6, 5), CensusTableEntry(2, 6, 9),
             CensusTableEntry(1, 6, 0)]  # two decreases: the first is named
     with pytest.raises(ValueError, match=r"^pair count decreases from 2d6 to 3d6$"):
-        _merge(rows)
+        merge_rows(rows)
     with pytest.raises(ValueError, match=r"^pair count decreases from 1d19 to 1d308$"):
-        _merge([CensusTableEntry(1, 308, 1), CensusTableEntry(1, 19, 2)])
+        merge_rows([CensusTableEntry(1, 308, 1), CensusTableEntry(1, 19, 2)])
     with pytest.raises(ValueError, match=r"^conflicting counts at 1d19: 5 vs 6$"):
-        _merge(parse_table("10d18  5\n1d19  6\n"))
+        _merge(*tables._parse_block(["10d18  5", "1d19  6"]))
+
+
+# -- the int64 chain's long division -----------------------------------
+
+# divisors at 1, small, around 2^53 (past which a double drops bits), at
+# 2^61 and up to 2^62 - 1, the largest t2 + 2 of the int64 columns
+EDGE_DIVISORS = [1, 2, 3, 7, 10**12 + 2, 2**53 - 1, 2**53 + 1, 2**61, 2**62 - 3, 2**62 - 1]
+
+
+def python_quotients(a: int, d: int) -> tuple:
+    """floor(a 2^61 / d) and ceil(a 2^61 / d), in Python ints."""
+    return (a << 61) // d, -((-a << 61) // d)
+
+
+def edge_numerators(d: int) -> list:
+    """0, numerators just below, at and above d and its multiples, and the
+    largest multiple of d and the largest even number below 2^63."""
+    top = 2**63 - 1
+    out = [0, 1, d - 1, d, d + 1, 2 * d - 1, 2 * d, 5 * d, 5 * d + 1, top - top % d, top - 1]
+    return sorted({a for a in out if 0 <= a < 2**63})
+
+
+@pytest.mark.parametrize("d", EDGE_DIVISORS)
+def test_unit_quotients_at_the_edges(d):
+    for a in edge_numerators(d):
+        floor, ceil = python_quotients(a, d)
+        got = _unit_quotients(np.array([a], dtype=np.int64), np.array([d], dtype=np.int64))
+        assert got == (floor, ceil - floor), (a, d)
+        if a % d == 0:
+            assert ceil == floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 2**62 - 1) | st.sampled_from(EDGE_DIVISORS), min_size=1, max_size=40),
+       st.data())
+def test_unit_quotients_match_python(divisors, data):
+    cap = (2**63 - 1) // len(divisors)  # the numerators' sum stays below 2^63
+    a = [data.draw(st.integers(0, cap) | st.sampled_from([0, min(d - 1, cap), cap - cap % d]))
+         for d in divisors]
+    quotients = [python_quotients(x, d) for x, d in zip(a, divisors)]
+    got = _unit_quotients(np.array(a, dtype=np.int64), np.array(divisors, dtype=np.int64))
+    assert got == (sum(q[0] for q in quotients), sum(q[1] != q[0] for q in quotients))
+
+
+def record_chain_dtypes(monkeypatch) -> list:
+    """A list of the dtype of each column ``tables._unit_quotients`` divides."""
+    dtypes, unit_quotients = [], tables._unit_quotients
+    monkeypatch.setattr(tables, "_unit_quotients",
+                        lambda a, d: dtypes.append(a.dtype) or unit_quotients(a, d))
+    return dtypes
+
+
+@pytest.mark.parametrize("last, vector", [
+    ((2**62 - 3, 2**62 - 1), True), ((2**62 - 2, 2**62 - 1), False), ((2**62 - 3, 2**62), False),
+])
+def test_chain_on_each_side_of_the_bound(monkeypatch, last, vector):
+    dtypes = record_chain_dtypes(monkeypatch)
+    rows = [CensusTableEntry(1, 6, 8169), CensusTableEntry(2, 6, 14871),
+            CensusTableEntry(10**18 - 1, 0, 10**17), CensusTableEntry(last[0], 0, last[1])]
+    for base in (Interval(1.8, 1.9), Interval(0.0, 0.0)):
+        out = extend_partial_sum(10**6, base, rows)
+        got = out.limit, out.pi2, out.brun_partial.lo.hex(), out.brun_partial.hi.hex()
+        assert got == reference_extend(10**6, base, rows)
+    assert dtypes == [np.dtype(np.int64) if vector else np.dtype(object)] * 4
+
+
+@pytest.mark.skipif(
+    not os.environ.get("BRUN_ACCEPT_LONG"),
+    reason="1e6 table rows through brun extend, about 10 s; set BRUN_ACCEPT_LONG=1 to run",
+)
+def test_chain_at_scale(tmp_path, monkeypatch):
+    """A million rows, one every 1e12 from 1e12, in five shuffled files: the
+    int64 chain of ``brun extend`` has the Python-int chain's bits."""
+    rng = random.Random(2014)
+    rows, count = [], 37_607_912_018  # pi2(1e12)
+    for k in range(1, 10**6 + 1):
+        rows.append(CensusTableEntry(k, 12, count))
+        count += rng.randint(10**9, 2 * 10**9)
+    files = [[] for _ in range(5)]
+    for row in rows:
+        rng.choice(files).append(f"{row.label}  {row.pi2}\n")
+    for i, lines in enumerate(files):
+        rng.shuffle(lines)
+        (tmp_path / f"part{i}.txt").write_text("".join(lines))
+    dtypes = record_chain_dtypes(monkeypatch)
+    out = tmp_path / "extend.json"
+    assert main(["extend", "--tables", str(tmp_path), "--json", str(out)]) == 0
+    assert dtypes == [np.dtype(np.int64)] * 32  # the int64 chain ran, in 16 slices
+    payload = json.loads(out.read_text())
+    ends = payload["brun_partial"]["lo_hex"], payload["brun_partial"]["hi_hex"]
+    got = payload["limit"], payload["pi2"], *ends
+    assert got == reference_extend(10**12, DEFAULT_BASE_ENCLOSURE, rows)
