@@ -15,6 +15,12 @@ facts about the platform:
 An exact int, rational or decimal enters as the two doubles next to it,
 or as a point if it is a double (``_frac_bracket``).  Simplicity is
 preferred over tightness elsewhere: exact operations are nudged too.
+
+Every interval, built by ``Interval(lo, hi)`` or returned by an
+operation, passes one check (``_interval``): ``not lo <= hi`` catches a
+NaN end and an empty interval, and ``lo == inf`` or ``hi == -inf`` the
+two degenerate infinite ones.  ``Interval(lo, hi)`` converts its ends
+with ``float()`` first; an operation's ends are floats already.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ import numpy as np
 __all__ = ["Interval", "EULER_GAMMA", "ei_neg", "rational_pow"]
 
 _FLOAT_MAX = sys.float_info.max
+_INF = math.inf
+_new = object.__new__
 
 IntervalLike = Union["Interval", int, float]
 Exact = Union[int, Fraction, Decimal]
@@ -93,6 +101,24 @@ def _vdn(a):
     return -_step_up(np.asarray(np.subtract(0.0, a)))  # 0 - a is -a, with +0 for -0
 
 
+def _invalid(lo: float, hi: float):
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError("interval endpoint is NaN")
+    if lo > hi:
+        raise ValueError(f"empty interval: lo={lo!r} > hi={hi!r}")
+    raise ValueError("degenerate infinite interval")
+
+
+def _interval(lo: float, hi: float) -> "Interval":
+    """[lo, hi] for two floats, or the ``ValueError`` naming why it is none."""
+    if not lo <= hi or lo == _INF or hi == -_INF:
+        _invalid(lo, hi)
+    iv = _new(Interval)
+    iv.lo = lo
+    iv.hi = hi
+    return iv
+
+
 def _frac_bracket(lo_q: Exact, hi_q: Exact) -> "Interval":
     """[largest double <= lo_q, least double >= hi_q].  ``float()`` rounds
     to nearest, and Python compares a float with an int, Fraction or
@@ -101,7 +127,7 @@ def _frac_bracket(lo_q: Exact, hi_q: Exact) -> "Interval":
     lo, hi = float(lo_q), float(hi_q)
     if math.isnan(lo) or math.isnan(hi):
         raise ValueError("NaN is not an exact value")
-    return Interval(_down(lo) if lo > lo_q else lo, _up(hi) if hi < hi_q else hi)
+    return _interval(_down(lo) if lo > lo_q else lo, _up(hi) if hi < hi_q else hi)
 
 
 class Interval:
@@ -120,17 +146,11 @@ class Interval:
     lo: float
     hi: float
 
-    def __init__(self, lo: float, hi: float) -> None:
-        lo = float(lo)
-        hi = float(hi)
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("interval endpoint is NaN")
-        if lo > hi:
-            raise ValueError(f"empty interval: lo={lo!r} > hi={hi!r}")
-        if lo == hi and math.isinf(lo):
-            raise ValueError("degenerate infinite interval")
-        self.lo = lo
-        self.hi = hi
+    def __new__(cls, lo: float, hi: float) -> "Interval":
+        return _interval(float(lo), float(hi))
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle call __new__ with these
+        return self.lo, self.hi
 
     # ------------------------------------------------------------------
     # constructors
@@ -138,7 +158,8 @@ class Interval:
     @classmethod
     def point(cls, x: float) -> "Interval":
         """The singleton interval [x, x]; x is taken as an exact double."""
-        return cls(x, x)
+        x = float(x)
+        return _interval(x, x)
 
     @classmethod
     def from_int(cls, n: int) -> "Interval":
@@ -190,22 +211,22 @@ class Interval:
     # arithmetic
 
     def __add__(self, other: IntervalLike) -> "Interval":
-        o = _coerce(other)
+        o = other if type(other) is Interval else _coerce(other)
         if o is None:
             return NotImplemented
-        return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
+        return _interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Interval":
         # negation is exact, no nudge
-        return Interval(-self.hi, -self.lo)
+        return _interval(-self.hi, -self.lo)
 
     def __sub__(self, other: IntervalLike) -> "Interval":
-        o = _coerce(other)
+        o = other if type(other) is Interval else _coerce(other)
         if o is None:
             return NotImplemented
-        return Interval(_down(self.lo - o.hi), _up(self.hi - o.lo))
+        return _interval(_down(self.lo - o.hi), _up(self.hi - o.lo))
 
     def __rsub__(self, other: IntervalLike) -> "Interval":
         o = _coerce(other)
@@ -214,40 +235,34 @@ class Interval:
         return o.__sub__(self)
 
     def __mul__(self, other: IntervalLike) -> "Interval":
-        o = _coerce(other)
+        o = other if type(other) is Interval else _coerce(other)
         if o is None:
             return NotImplemented
-        products = (
-            self.lo * o.lo,
-            self.lo * o.hi,
-            self.hi * o.lo,
-            self.hi * o.hi,
-        )
+        a, b, c, d = self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi
+        if a == a and b == b and c == c and d == d:
+            return _interval(_down(min(a, b, c, d)), _up(max(a, b, c, d)))
         # 0 * inf corners produce NaN.  Dropping them is sound: such a
         # corner means one factor interval has a zero endpoint and the
         # other an infinite one, and the exact image at that corner is
         # covered by the surviving candidates.  All four are NaN only for
         # [0, 0] * [-inf, inf], whose image is {0}.
-        cands = [p for p in products if not math.isnan(p)] or [0.0]
-        return Interval(_down(min(cands)), _up(max(cands)))
+        cands = [p for p in (a, b, c, d) if not math.isnan(p)] or [0.0]
+        return _interval(_down(min(cands)), _up(max(cands)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: IntervalLike) -> "Interval":
-        o = _coerce(other)
+        o = other if type(other) is Interval else _coerce(other)
         if o is None:
             return NotImplemented
         if o.lo <= 0.0 <= o.hi:
             raise ZeroDivisionError(f"divisor interval contains zero: {o}")
-        quotients = (
-            self.lo / o.lo,
-            self.lo / o.hi,
-            self.hi / o.lo,
-            self.hi / o.hi,
-        )
+        a, b, c, d = self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi
+        if a == a and b == b and c == c and d == d:
+            return _interval(_down(min(a, b, c, d)), _up(max(a, b, c, d)))
         # inf/inf corners (NaN) can only occur alongside finite candidates
-        cands = [q for q in quotients if not math.isnan(q)]
-        return Interval(_down(min(cands)), _up(max(cands)))
+        cands = [q for q in (a, b, c, d) if not math.isnan(q)]
+        return _interval(_down(min(cands)), _up(max(cands)))
 
     def __rtruediv__(self, other: IntervalLike) -> "Interval":
         o = _coerce(other)
@@ -259,8 +274,8 @@ class Interval:
         if self.lo >= 0.0:
             return self
         if self.hi <= 0.0:
-            return Interval(-self.hi, -self.lo)
-        return Interval(0.0, max(-self.lo, self.hi))
+            return _interval(-self.hi, -self.lo)
+        return _interval(0.0, max(-self.lo, self.hi))
 
     # ------------------------------------------------------------------
     # elementary functions (two nudges each: libm is faithful, not
@@ -275,7 +290,7 @@ class Interval:
             raise ValueError("log of [0, 0] is degenerate")
         lo = -math.inf if self.lo == 0.0 else _down2(math.log(self.lo))
         hi = math.inf if math.isinf(self.hi) else _up2(math.log(self.hi))
-        return Interval(lo, hi)
+        return _interval(lo, hi)
 
     def log1p(self) -> "Interval":
         """log(1 + x), accurate near zero.  Requires lo >= -1."""
@@ -285,16 +300,16 @@ class Interval:
             raise ValueError("log1p of [-1, -1] is degenerate")
         lo = -math.inf if self.lo == -1.0 else _down2(math.log1p(self.lo))
         hi = math.inf if math.isinf(self.hi) else _up2(math.log1p(self.hi))
-        return Interval(lo, hi)
+        return _interval(lo, hi)
 
     def exp(self) -> "Interval":
-        return Interval(*_exp_ends(self.lo, self.hi))
+        return _interval(*_exp_ends(self.lo, self.hi))
 
     def sqrt(self) -> "Interval":
         # sqrt is correctly rounded, one nudge suffices
         if self.lo < 0.0:
             raise ValueError(f"sqrt domain: {self}")
-        return Interval(
+        return _interval(
             max(0.0, _down(math.sqrt(self.lo))),
             _up(math.sqrt(self.hi)) if not math.isinf(self.hi) else math.inf,
         )

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 from .interval import Interval, _down, _frac_bracket, _up, rational_pow
@@ -101,6 +101,11 @@ class RVParams:
     a9: Interval
     sqrt_coefficient: Interval
     sqrt_valid_from: int
+
+    @cached_property
+    def _half_alpha(self) -> Interval:
+        # alpha/2 enclosed once per parameter set, not per evaluation of F
+        return Interval.from_fraction(self.alpha / 2)
 
 
 def _default_rho() -> Interval:
@@ -211,8 +216,7 @@ def correction_term_log(u: Interval, params: RVParams) -> Interval:
     """
     if u.lo <= 0.0:
         raise ValueError(f"need positive log argument: {u}")
-    half_alpha = params.alpha / 2
-    xa = (u * Interval.from_fraction(half_alpha)).exp()  # x^(alpha/2)
+    xa = (u * params._half_alpha).exp()  # x^(alpha/2)
     xs = (u * 0.5).exp()  # sqrt(x)
     v = params.a6 + params.a7 / u - params.a8 / (xa * u) - params.a9 / (xs * u)
     return Interval(max(0.0, v.lo), max(0.0, v.hi))

@@ -6,6 +6,7 @@ no float rounding can blur the assertion itself.
 """
 
 import math
+import re
 import sys
 import warnings
 from decimal import Decimal
@@ -478,3 +479,196 @@ class TestProperties:
         iv = ei_neg(Interval.point(y))
         truth = mpmath.ei(mpmath.mpf(y))
         assert mpmath.mpf(iv.lo) <= truth <= mpmath.mpf(iv.hi)
+
+
+# ----------------------------------------------------------------------
+# The scalar operations against a reference: each operation's formula
+# written out on (lo, hi) float pairs, and every result passed through
+# float() and three separate checks (NaN, order, an infinite point) instead
+# of interval._interval's one comparison.  Ends must agree bit for bit (hex
+# tells -0 from +0); an operation that raises must raise the same
+# exception and text.
+
+
+def _ref_new(lo, hi):
+    lo, hi = float(lo), float(hi)
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError("interval endpoint is NaN")
+    if lo > hi:
+        raise ValueError(f"empty interval: lo={lo!r} > hi={hi!r}")
+    if lo == hi and math.isinf(lo):
+        raise ValueError("degenerate infinite interval")
+    return lo, hi
+
+
+def _dn(x, steps=1):
+    for _ in range(steps):
+        x = math.nextafter(x, -math.inf)
+    return x
+
+
+def _upn(x, steps=1):
+    for _ in range(steps):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def _ref_bracket(q):
+    lo = hi = float(q)
+    if math.isnan(lo):
+        raise ValueError("NaN is not an exact value")
+    return _ref_new(_dn(lo) if lo > q else lo, _upn(hi) if hi < q else hi)
+
+
+def _ref_coerce(y):
+    if isinstance(y, tuple):
+        return y
+    return _ref_bracket(y) if isinstance(y, int) else _ref_new(y, y)
+
+
+def _ref_add(x, y):
+    return _ref_new(_dn(x[0] + y[0]), _upn(x[1] + y[1]))
+
+
+def _ref_sub(x, y):
+    return _ref_new(_dn(x[0] - y[1]), _upn(x[1] - y[0]))
+
+
+def _ref_mul(x, y):
+    products = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+    cands = [p for p in products if not math.isnan(p)] or [0.0]
+    return _ref_new(_dn(min(cands)), _upn(max(cands)))
+
+
+def _ref_div(x, y):
+    if y[0] <= 0.0 <= y[1]:
+        raise ZeroDivisionError(f"divisor interval contains zero: [{y[0]!r}, {y[1]!r}]")
+    quotients = (x[0] / y[0], x[0] / y[1], x[1] / y[0], x[1] / y[1])
+    cands = [q for q in quotients if not math.isnan(q)]
+    return _ref_new(_dn(min(cands)), _upn(max(cands)))
+
+
+def _ref_log(x, fn=math.log, floor=0.0, name="log"):
+    if x[0] < floor:
+        raise ValueError(f"{name} domain: [{x[0]!r}, {x[1]!r}]")
+    if x[1] <= floor:
+        raise ValueError(f"{name} of [{floor:.0f}, {floor:.0f}] is degenerate")
+    lo = -math.inf if x[0] == floor else _dn(fn(x[0]), 2)
+    hi = math.inf if math.isinf(x[1]) else _upn(fn(x[1]), 2)
+    return _ref_new(lo, hi)
+
+
+def _ref_exp(x):
+    try:
+        lo = 0.0 if x[0] == -math.inf else max(0.0, _dn(math.exp(x[0]), 2))
+    except OverflowError:
+        lo = _dn(sys.float_info.max, 2)
+    try:
+        hi = math.inf if math.isinf(x[1]) else _upn(math.exp(x[1]), 2)
+    except OverflowError:
+        hi = math.inf
+    return _ref_new(lo, hi)
+
+
+def _ref_sqrt(x):
+    if x[0] < 0.0:
+        raise ValueError(f"sqrt domain: [{x[0]!r}, {x[1]!r}]")
+    return _ref_new(
+        max(0.0, _dn(math.sqrt(x[0]))), _upn(math.sqrt(x[1])) if not math.isinf(x[1]) else math.inf
+    )
+
+
+def _ref_abs(x):
+    if x[0] >= 0.0:
+        return x
+    return _ref_new(-x[1], -x[0]) if x[1] <= 0.0 else _ref_new(0.0, max(-x[0], x[1]))
+
+
+def _ref_rational_pow(x, num, den):
+    if den == 0:
+        raise ZeroDivisionError("rational_pow: zero denominator")
+    q = Fraction(num, den)
+    return (1.0, 1.0) if q == 0 else _ref_exp(_ref_mul(_ref_bracket(q), _ref_log(x)))
+
+
+def _outcome(compute):
+    """The result's ends as hex, or the exception's type and text."""
+    try:
+        got = compute()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    if isinstance(got, Interval):
+        got = (got.lo, got.hi)
+    assert all(type(end) is float for end in got)
+    return got[0].hex(), got[1].hex()
+
+
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 0.5, 2.0, 5e-324, -5e-324,
+            sys.float_info.max, -sys.float_info.max]
+_end = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False))
+# ends include 0 and inf together, so 0 * inf and inf / inf corners occur
+_ends = st.tuples(_end, _end).map(sorted).filter(lambda e: not (e[0] == e[1] and math.isinf(e[0])))
+_scalar = st.one_of(_end, st.integers(-2**70, 2**70), st.integers(-3, 3))
+
+
+class TestSameBits:
+    BINARY = [
+        (_ref_add, lambda x, y: x + y),
+        (_ref_sub, lambda x, y: x - y),
+        (_ref_mul, lambda x, y: x * y),
+        (_ref_div, lambda x, y: x / y),
+    ]
+
+    @given(_ends, _ends, _scalar)
+    @settings(max_examples=400, deadline=None)
+    def test_binary_operations(self, x, y, s):
+        xi, yi = Interval(*x), Interval(*y)
+        for ref, op in self.BINARY:
+            assert _outcome(lambda: op(xi, yi)) == _outcome(lambda: ref(x, y))
+            # a float or int operand, on the right and then on the left
+            assert _outcome(lambda: op(xi, s)) == _outcome(lambda: ref(x, _ref_coerce(s)))
+            assert _outcome(lambda: op(s, xi)) == _outcome(
+                lambda: (ref(x, _ref_coerce(s)) if ref in (_ref_add, _ref_mul)
+                         else ref(_ref_coerce(s), x))
+            )
+
+    @given(_ends, st.integers(-4, 4), st.integers(-3, 5))
+    @settings(max_examples=400, deadline=None)
+    def test_unary_operations(self, x, num, den):
+        xi = Interval(*x)
+        pairs = [
+            (lambda: -xi, lambda: _ref_new(-x[1], -x[0])),
+            (lambda: abs(xi), lambda: _ref_abs(x)),
+            (xi.log, lambda: _ref_log(x)),
+            (xi.log1p, lambda: _ref_log(x, math.log1p, -1.0, "log1p")),
+            (xi.exp, lambda: _ref_exp(x)),
+            (xi.sqrt, lambda: _ref_sqrt(x)),
+            (lambda: rational_pow(xi, num, den), lambda: _ref_rational_pow(x, num, den)),
+        ]
+        for new, ref in pairs:
+            assert _outcome(new) == _outcome(ref)
+
+    @given(st.one_of(_end, st.just(math.nan), st.integers(-3, 3)),
+           st.one_of(_end, st.just(math.nan), st.integers(-3, 3)))
+    def test_construction(self, lo, hi):
+        assert _outcome(lambda: Interval(lo, hi)) == _outcome(lambda: _ref_new(lo, hi))
+        assert _outcome(lambda: Interval.point(hi)) == _outcome(lambda: _ref_new(hi, hi))
+
+    @pytest.mark.parametrize("down, up, message", [
+        (math.nan, 1.0, "interval endpoint is NaN"),
+        (1.0, math.nan, "interval endpoint is NaN"),
+        (2.0, 1.0, "empty interval: lo=2.0 > hi=1.0"),
+        (math.inf, math.inf, "degenerate infinite interval"),
+        (-math.inf, -math.inf, "degenerate infinite interval"),
+    ])
+    def test_invalid_result_raises_the_constructors_text(self, monkeypatch, down, up, message):
+        from brun import interval
+
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Interval(down, up)
+        # every operation's result passes the same check
+        monkeypatch.setattr(interval, "_down", lambda x: down)
+        monkeypatch.setattr(interval, "_up", lambda x: up)
+        for op in (lambda a: a + a, lambda a: a - 1, lambda a: a * a, lambda a: 2.0 / a):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                op(Interval(1.0, 2.0))

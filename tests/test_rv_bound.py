@@ -410,6 +410,27 @@ class TestBrunUpper:
         quad = integrate_adaptive(rule, Interval.from_int(X0).log().lo, 20000.0, 1e-6)
         assert len(calls) == len(set(calls)) == 4 * quad.pieces + 1
 
+    def test_exact_inputs_do_not_grow_with_pieces(self, monkeypatch):
+        # alpha/2 enters F once per parameter set: from_fraction's calls do
+        # not grow with the pieces (they grew by one per node of F)
+        calls = []
+        enclose = Interval.from_fraction
+
+        def counting(q):
+            calls.append(q)
+            return enclose(q)
+
+        params = derive_params()
+        monkeypatch.setattr(Interval, "from_fraction", staticmethod(counting))
+        counts, pieces = [], []
+        for width_target in (1e-6, 1e-7):
+            calls.clear()
+            cert = brun_upper(X0, PI2_X0, PARTIAL_X0, params, width_target=width_target)
+            pieces.append(cert.quad_pieces)
+            counts.append(len(calls))
+        assert pieces == [36, 103]
+        assert counts[0] == counts[1] <= 4
+
     def test_census_1e8_within_a_second(self):
         # census(10**8)'s pinned ends, as CI checks them, so nothing is sieved
         partial = Interval(*map(float.fromhex, ("0x1.c241bd942e188p+0", "0x1.c241bd942e841p+0")))
