@@ -45,6 +45,7 @@ from .sieve import TwinCensus, census
 from .tables import (
     DEFAULT_BASE_ENCLOSURE,
     DEFAULT_BASE_THRESHOLD,
+    _MAX_DIGITS,
     _entry_at,
     _extend,
     _read_table_dir,
@@ -108,6 +109,8 @@ def _exact_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     if not d.is_finite():  # int(inf) and comparing sNaN would raise uncaught
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    if d.adjusted() >= _MAX_DIGITS:  # |d| >= 10^309; int() is quadratic in the digits
+        raise argparse.ArgumentTypeError(f"magnitude 10^{_MAX_DIGITS} or more: {text!r}")
     if d != d.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(d)

@@ -25,20 +25,21 @@ units of 2^-52, rounded outward once on conversion to float, in one
 block walk (``_unit_blocks``) that serves ``divisor_sum`` and the scan.
 The counts are int32: d(n) <= 2 sqrt(n) < 2^31 for n < 2^60.  Every
 other float in the pipeline carries directed rounding: one-ulp steps on
-the float64 bit pattern (``interval._vdn``/``_vup``, equal to
-np.nextafter) for single operations and a relative pad for np.power.
+the float64 bit pattern (``_vdn``/``_vup``, equal to np.nextafter) for
+single operations and a relative pad for np.power.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
-from .interval import Interval, _vdn, _vup
+from .interval import Interval
 
 __all__ = [
     "GAMMA0",
@@ -66,6 +67,34 @@ _POW_PAD = 2e-14
 # n per block of the D(n) walk: the scan's float64 temporaries take about
 # 1.3 MB, and scan_c(2/5, 1e6) peaks at 5.3 MiB (6.8 at 2^14, 9.8 at 2^15)
 _BLOCK = 1 << 13
+
+
+# The array forms of interval's one-ulp steps, as integer steps on the
+# float64 bit pattern.  Patterns of one sign are ordered like the numbers
+# they encode, so viewed as int64 the next double up is bits + 1 for +0 up
+# to max, and bits - 1 for a negative number, whose magnitude shrinks (-inf
+# steps to -max).  That is np.nextafter(a, +-inf) bit for bit once -0 is
+# folded into +0, whose step up is the least subnormal, +inf is clamped to
+# max, which steps back up to +inf, and NaN is held fixed.  The step down
+# from a is minus the step up from -a.
+
+
+def _step_up(x):
+    # x is a fresh float64 array that holds no -0
+    np.minimum(x, sys.float_info.max, out=x)
+    bits = x.view(np.int64)
+    up = bits >> 63  # -1 below zero, else 0
+    up |= 1
+    up += bits
+    return np.maximum(up.view(np.float64), x)  # NaN propagates
+
+
+def _vup(a):
+    return _step_up(np.asarray(np.add(a, 0.0)))  # -0 + 0 is +0
+
+
+def _vdn(a):
+    return -_step_up(np.asarray(np.subtract(0.0, a)))  # 0 - a is -a, with +0 for -0
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,9 @@ operation, passes one check (``_interval``): ``not lo <= hi`` catches a
 NaN end and an empty interval, and ``lo == inf`` or ``hi == -inf`` the
 two degenerate infinite ones.  ``Interval(lo, hi)`` converts its ends
 with ``float()`` first; an operation's ends are floats already.
+
+The module is scalar and imports the standard library only.  The array
+forms of the one-ulp steps live in ``divisor_error``, their one user.
 """
 
 from __future__ import annotations
@@ -31,11 +34,8 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
-
 __all__ = ["Interval", "EULER_GAMMA", "ei_neg", "rational_pow"]
 
-_FLOAT_MAX = sys.float_info.max
 _INF = math.inf
 _new = object.__new__
 
@@ -57,48 +57,6 @@ def _down2(x: float) -> float:
 
 def _up2(x: float) -> float:
     return math.nextafter(math.nextafter(x, math.inf), math.inf)
-
-
-def _exp_ends(lo: float, hi: float) -> tuple:
-    """The ends of exp([lo, hi]), as ``Interval.exp`` returns them."""
-    try:
-        lo = 0.0 if lo == -math.inf else max(0.0, _down2(math.exp(lo)))
-    except OverflowError:
-        # exp(lo) exceeds the float range, so the true value does too
-        lo = _down2(_FLOAT_MAX)
-    try:
-        hi = math.inf if math.isinf(hi) else _up2(math.exp(hi))
-    except OverflowError:
-        hi = math.inf
-    return lo, hi
-
-
-# The array forms of _down and _up, for the vectorized pipelines, as
-# integer steps on the float64 bit pattern.  Patterns of one sign are
-# ordered like the numbers they encode, so viewed as int64 the next double
-# up is bits + 1 for +0 up to max, and bits - 1 for a negative number,
-# whose magnitude shrinks (-inf steps to -max).  That is np.nextafter(a,
-# +-inf) bit for bit once -0 is folded into +0, whose step up is the least
-# subnormal, +inf is clamped to max, which steps back up to +inf, and NaN
-# is held fixed.  The step down from a is minus the step up from -a.
-
-
-def _step_up(x):
-    # x is a fresh float64 array that holds no -0
-    np.minimum(x, _FLOAT_MAX, out=x)
-    bits = x.view(np.int64)
-    up = bits >> 63  # -1 below zero, else 0
-    up |= 1
-    up += bits
-    return np.maximum(up.view(np.float64), x)  # NaN propagates
-
-
-def _vup(a):
-    return _step_up(np.asarray(np.add(a, 0.0)))  # -0 + 0 is +0
-
-
-def _vdn(a):
-    return -_step_up(np.asarray(np.subtract(0.0, a)))  # 0 - a is -a, with +0 for -0
 
 
 def _invalid(lo: float, hi: float):
@@ -303,7 +261,16 @@ class Interval:
         return _interval(lo, hi)
 
     def exp(self) -> "Interval":
-        return _interval(*_exp_ends(self.lo, self.hi))
+        try:
+            lo = 0.0 if self.lo == -math.inf else max(0.0, _down2(math.exp(self.lo)))
+        except OverflowError:
+            # exp(lo) exceeds the float range, so the true value does too
+            lo = _down2(sys.float_info.max)
+        try:
+            hi = math.inf if math.isinf(self.hi) else _up2(math.exp(self.hi))
+        except OverflowError:
+            hi = math.inf
+        return _interval(lo, hi)
 
     def sqrt(self) -> "Interval":
         # sqrt is correctly rounded, one nudge suffices

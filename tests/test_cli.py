@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,27 @@ class TestUsage:
     def test_unparsable_values(self, argv, message, capsys):
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["census", "--limit"],
+        ["certify", "--x0"],
+        ["certify", "--x0", "4e18", "--pi2"],
+        ["h-bound", "--cutoff"],
+        ["scan-c", "--xmax"],
+        ["extend", "--base-x"],
+    ], ids=lambda argv: argv[-1])
+    def test_huge_integers_are_usage_errors(self, argv, capsys):
+        # int() is quadratic in the digit count: 1e5000000 is refused before it
+        start = time.perf_counter()
+        assert main(argv + ["1e5000000"]) == 1
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert f"argument {argv[-1]}: magnitude 10^309 or more: '1e5000000'" in err
+
+    def test_integers_below_the_cap_parse(self):
+        assert cli._exact_int("1e308") == 10**308
+        assert cli._exact_int("9" * 309) == 10**309 - 1
+        assert cli._exact_int("-1e308") == -(10**308)
 
     def test_retired_options_are_usage_errors(self, capsys):
         # the tail cutoff and the projection's assumed limit are constants

@@ -1,7 +1,9 @@
 """Divisor-sum error term: exact-sum containment and the supremum scan."""
 
 import math
+import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -20,6 +22,8 @@ from brun.divisor_error import (
     _log_range,
     _model_range,
     _scan_supremum,
+    _vdn,
+    _vup,
     divisor_sum,
     error_term,
     scan_c,
@@ -211,6 +215,54 @@ POINT_PINS = {  # x: (divisor_sum, error_term)
         ("0x1.252561d07ffffp-13", "0x1.2aa2eff380001p-13"),
     ),
 }
+
+
+class TestVectorSteps:
+    """``_vdn``/``_vup`` equal ``np.nextafter`` toward -inf/+inf bit for bit."""
+
+    STEPS = [(_vdn, -math.inf), (_vup, math.inf)]
+    TINY = 2.2250738585072014e-308
+    SPECIAL = [0.0, 5e-324, TINY, 1.0, sys.float_info.max, math.inf]
+
+    @staticmethod
+    def assert_same(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+
+    @staticmethod
+    def nextafter(a, toward):
+        # np.nextafter itself flags overflow, underflow and signalling NaNs
+        with np.errstate(all="ignore"):
+            return np.nextafter(a, toward)
+
+    @pytest.mark.parametrize("step, toward", STEPS)
+    def test_random_bit_patterns(self, step, toward):
+        rng = np.random.default_rng(2018)
+        info = np.iinfo(np.int64)
+        bits = rng.integers(info.min, info.max, 10**5, dtype=np.int64, endpoint=True)
+        x = bits.view(np.float64)
+        with np.errstate(invalid="ignore"):  # signalling NaNs among the patterns
+            got = step(x)
+        self.assert_same(got, self.nextafter(x, toward))
+
+    @pytest.mark.parametrize("step, toward", STEPS)
+    def test_special_values_without_warnings(self, step, toward):
+        widest_nan = np.array([0x7FFF_FFFF_FFFF_FFFF, -1], dtype=np.int64).view(np.float64)
+        x = np.array(self.SPECIAL + [-v for v in self.SPECIAL] + [math.nan])
+        x = np.concatenate([x, widest_nan])
+        # a Python float, a numpy scalar and a 0-d array
+        singles = (1.5, np.float64(-0.0), np.array(math.inf))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = step(x)
+            got_singles = [step(v) for v in singles]
+        self.assert_same(got, self.nextafter(x, toward))
+        assert np.isnan(got[-3:]).all()
+        for got_one, v in zip(got_singles, singles):
+            self.assert_same(got_one, self.nextafter(v, toward))
 
 
 class TestGammaWindows:

@@ -8,11 +8,9 @@ no float rounding can blur the assertion itself.
 import math
 import re
 import sys
-import warnings
 from decimal import Decimal
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +21,6 @@ from brun.interval import (
     _SERIES_MAX,
     _cf_convergent,
     _e1_point,
-    _vdn,
-    _vup,
     ei_neg,
     rational_pow,
 )
@@ -381,54 +377,6 @@ finite = st.floats(
 positive = st.floats(
     allow_nan=False, allow_infinity=False, min_value=1e-150, max_value=1e150
 )
-
-
-class TestVectorSteps:
-    """``_vdn``/``_vup`` equal ``np.nextafter`` toward -inf/+inf bit for bit."""
-
-    STEPS = [(_vdn, -math.inf), (_vup, math.inf)]
-    TINY = 2.2250738585072014e-308
-    SPECIAL = [0.0, 5e-324, TINY, 1.0, sys.float_info.max, math.inf]
-
-    @staticmethod
-    def assert_same(got, want):
-        got, want = np.asarray(got), np.asarray(want)
-        assert got.shape == want.shape
-        nan = np.isnan(want)
-        assert np.array_equal(np.isnan(got), nan)
-        assert np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
-
-    @staticmethod
-    def nextafter(a, toward):
-        # np.nextafter itself flags overflow, underflow and signalling NaNs
-        with np.errstate(all="ignore"):
-            return np.nextafter(a, toward)
-
-    @pytest.mark.parametrize("step, toward", STEPS)
-    def test_random_bit_patterns(self, step, toward):
-        rng = np.random.default_rng(2018)
-        info = np.iinfo(np.int64)
-        bits = rng.integers(info.min, info.max, 10**5, dtype=np.int64, endpoint=True)
-        x = bits.view(np.float64)
-        with np.errstate(invalid="ignore"):  # signalling NaNs among the patterns
-            got = step(x)
-        self.assert_same(got, self.nextafter(x, toward))
-
-    @pytest.mark.parametrize("step, toward", STEPS)
-    def test_special_values_without_warnings(self, step, toward):
-        widest_nan = np.array([0x7FFF_FFFF_FFFF_FFFF, -1], dtype=np.int64).view(np.float64)
-        x = np.array(self.SPECIAL + [-v for v in self.SPECIAL] + [math.nan])
-        x = np.concatenate([x, widest_nan])
-        # a Python float, a numpy scalar and a 0-d array
-        singles = (1.5, np.float64(-0.0), np.array(math.inf))
-        with warnings.catch_warnings(), np.errstate(all="raise"):
-            warnings.simplefilter("error")
-            got = step(x)
-            got_singles = [step(v) for v in singles]
-        self.assert_same(got, self.nextafter(x, toward))
-        assert np.isnan(got[-3:]).all()
-        for got_one, v in zip(got_singles, singles):
-            self.assert_same(got_one, self.nextafter(v, toward))
 
 
 def make_interval(a: float, b: float) -> Interval:

@@ -2,10 +2,13 @@
 
 import math
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -394,6 +397,31 @@ class TestBrunUpper:
         assert cert.quad_pieces == pieces
         assert hex_ends(cert.integral) == integral
         assert float.fromhex(integral[1]) <= float.fromhex(old_integral[1])
+
+    def test_certifies_without_numpy(self):
+        # a fresh interpreter where importing numpy fails, and a stub brun
+        # package so that __init__ (which imports every module) does not run
+        child = """
+import sys, types
+sys.modules["numpy"] = None
+package = types.ModuleType("brun")
+package.__path__ = [sys.argv[1]]
+sys.modules["brun"] = package
+from decimal import Decimal
+from brun.interval import _frac_bracket
+from brun.rv_bound import brun_upper
+partial = _frac_bracket(Decimal("1.840503"), Decimal("1.840518"))
+cert = brun_upper(4 * 10**18, 3023463123235320, partial)
+print(cert.upper.hex(), cert.quad_pieces)
+"""
+        src = Path(rv_bound.__file__).parent
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(src)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        upper, pieces = proc.stdout.split()
+        assert upper == "0x1.24edf9b98673ap+1"
+        assert int(pieces) == 36
 
     def test_correction_evaluated_once_per_node(self, monkeypatch):
         # each bisection adds two pieces and four quarter points: n pieces,
