@@ -16,10 +16,11 @@ adds ``command`` and ``version`` and writes it to ``--json`` (``--out``
 for certify) through one JSON encoder.  An interval is written as
 ``{lo, hi, lo_hex, hi_hex}``: outward-rounded decimal strings alongside
 exact hex doubles.  A rational is written as exact text ("2/5").  File
-inputs carry their sha256 hashes.  No timestamps, no environment
-capture: reruns with the same inputs are byte-identical, whatever the
-worker count.  Exit codes: 0 success, 1 usage error, 2 computation
-error (running out of memory included).
+inputs carry their sha256 hashes.  Every input comes from the command
+line or the files it names; no variable outside it is read or
+captured, and no timestamp, so reruns with the same inputs are
+byte-identical, whatever the worker count.  Exit codes: 0 success, 1
+usage error, 2 computation error (running out of memory included).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import dataclasses
 import decimal
 import json
 import math
-import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -53,8 +53,6 @@ from .tables import (
 )
 
 __all__ = ["main"]
-
-TABLE_DIR_ENV = "BRUN_TABLE_DIR"
 
 _DOWN = decimal.Context(prec=20, rounding=decimal.ROUND_FLOOR)
 _UP = decimal.Context(prec=20, rounding=decimal.ROUND_CEILING)
@@ -168,22 +166,18 @@ def _outward_from_decimals(lo_text: str, hi_text: str) -> Interval:
 
 
 def _chain_tables(args: argparse.Namespace) -> tuple:
-    """(census at the last row, table directory, file hashes) from the
-    tables chained onto the base; the directory is ``--tables`` or else
-    a nonempty $BRUN_TABLE_DIR."""
-    if args.tables == "":
-        raise UsageError("--tables needs a directory name")
-    tables = args.tables or os.environ.get(TABLE_DIR_ENV)
-    if not tables:
+    """(census at the last row, file hashes) from the ``--tables`` rows
+    chained onto the base; an empty name never reads the working directory."""
+    if not args.tables:
         raise UsageError(
-            f"no census tables: pass --tables DIR or set {TABLE_DIR_ENV} (certify also "
+            "no census tables: --tables needs a directory name (certify also "
             "takes a censused partial sum as --pi2/--brun-lo/--brun-hi)"
         )
-    if not Path(tables).is_dir():
-        raise UsageError(f"directory not found: {tables}")
-    columns, input_files = _read_table_dir(tables)
+    if not Path(args.tables).is_dir():
+        raise UsageError(f"directory not found: {args.tables}")
+    columns, input_files = _read_table_dir(args.tables)
     base = _outward_from_decimals(args.base_lo, args.base_hi)
-    return _extend(args.base_x, base, columns), tables, input_files
+    return _extend(args.base_x, base, columns), input_files
 
 
 def _print_census(result: TwinCensus) -> None:
@@ -204,12 +198,12 @@ def _cmd_census(args: argparse.Namespace) -> dict:
 
 
 def _cmd_extend(args: argparse.Namespace) -> dict:
-    result, tables, input_files = _chain_tables(args)
+    result, input_files = _chain_tables(args)
     print(f"extended to {result.limit}")
     _print_census(result)
     # the base is echoed as the text it was given
     base = {"lo": args.base_lo, "hi": args.base_hi}
-    inputs = {"base_x": args.base_x, "base": base, "tables": tables, "input_files": input_files}
+    inputs = dict(base_x=args.base_x, base=base, tables=args.tables, input_files=input_files)
     return {**_fields(result), "inputs": inputs}
 
 
@@ -230,16 +224,15 @@ def _cmd_h_bound(args: argparse.Namespace) -> dict:
 def _cmd_certify(args: argparse.Namespace) -> dict:
     triple = (args.pi2, args.brun_lo, args.brun_hi)
     if any(value is not None for value in triple):
-        # an explicit triple wins over $BRUN_TABLE_DIR, not over --tables
         if args.tables is not None:
             raise UsageError("pass either --tables or the --pi2/--brun-lo/--brun-hi triple")
         if None in triple:
             raise UsageError("--pi2, --brun-lo and --brun-hi must be given together")
         pi2_x0 = args.pi2
         partial = _outward_from_decimals(args.brun_lo, args.brun_hi)
-        tables, input_files = None, {}
+        input_files = {}
     else:
-        spliced, tables, input_files = _chain_tables(args)
+        spliced, input_files = _chain_tables(args)
         if spliced.limit != args.x0:
             raise ValueError(f"census tables end at {spliced.limit}, not at x0 = {args.x0}")
         pi2_x0, partial = spliced.pi2, spliced.brun_partial
@@ -250,7 +243,7 @@ def _cmd_certify(args: argparse.Namespace) -> dict:
     print(f"quadrature pieces: {cert.quad_pieces}")
     result = _report(cert, "x0", "pi2_x0", "brun_partial_x0", "cutoff_u", "width_target")
     inputs = result.pop("inputs")
-    inputs.update(improved=args.improved, tables=tables, input_files=input_files)
+    inputs.update(improved=args.improved, tables=args.tables, input_files=input_files)
     # the artifact has never carried sqrt_valid_from
     params = _fields(result.pop("params"), "sqrt_valid_from")
     # the certificate's two ends: outward decimal strings plus exact hex
@@ -282,7 +275,7 @@ def _cmd_project(args: argparse.Namespace) -> dict:
 
 
 def _add_table_base_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tables", help=f"census table directory (default: ${TABLE_DIR_ENV})")
+    sub.add_argument("--tables", help="census table directory")
     sub.add_argument(
         "--base-x",
         type=_positive_int,

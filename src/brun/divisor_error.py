@@ -275,11 +275,11 @@ def scan_c(alpha: Union[Fraction, float], xmax: int) -> DivisorErrorScan:
     """Enclose sup |E(x)| x^alpha over 0 < x <= xmax.
 
     ``alpha`` is taken exactly: pass a Fraction for non-representable
-    rationals like 1/3.  Needs 0 < alpha < 1.
+    rationals like 1/3.  Needs 3 * 2^-1074 <= alpha < 1: the head divides by alpha/2.
     """
     alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha out of range (0, 1): {alpha}")
+    if not (0 < alpha < 1 and (Interval.from_fraction(alpha) * 0.5).lo > 0):
+        raise ValueError(f"alpha out of range (0, 1) or alpha/2 not enclosed above 0: {alpha}")
     if xmax < 1:
         raise ValueError(f"xmax must be >= 1: {xmax}")
     alpha_iv = Interval.from_fraction(alpha)

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -54,11 +55,6 @@ EVERY_COMMAND = [
     (CERTIFY_NUMERIC, "--out"),
     (["project", "--ks", "19,20"], "--json"),
 ]
-
-
-@pytest.fixture(autouse=True)
-def _isolated_env(monkeypatch):
-    monkeypatch.delenv("BRUN_TABLE_DIR", raising=False)
 
 
 @pytest.fixture()
@@ -353,34 +349,13 @@ class TestExtend:
         err = capsys.readouterr().err
         assert "late.txt, line 2: malformed census table line" in err
 
-    def test_requires_tables(self, monkeypatch, capsys):
-        monkeypatch.delenv("BRUN_TABLE_DIR", raising=False)
+    def test_requires_tables(self, capsys):
         assert main(["extend"]) == 1
-        assert "BRUN_TABLE_DIR" in capsys.readouterr().err
+        assert "--tables" in capsys.readouterr().err
 
-    def test_env_var_default(self, table_dir, monkeypatch, capsys):
-        monkeypatch.setenv("BRUN_TABLE_DIR", table_dir)
-        rc = main([
-            "extend",
-            "--base-x", "1000000000000000",
-            "--base-lo", "1.83",
-            "--base-hi", "1.84",
-        ])
-        assert rc == 0
-        assert "extended to" in capsys.readouterr().out
-
-    def test_env_dir_recorded(self, table_dir, monkeypatch, tmp_path):
-        monkeypatch.setenv("BRUN_TABLE_DIR", table_dir)
-        out = tmp_path / "extend.json"
-        assert main(EXTEND_FIXTURES[:1] + EXTEND_FIXTURES[3:] + ["--json", str(out)]) == 0
-        assert json.loads(out.read_text())["inputs"]["tables"] == table_dir
-
-    def test_missing_dir_is_usage_error(self, tmp_path, monkeypatch, capsys):
+    def test_missing_dir_is_usage_error(self, tmp_path, capsys):
         missing = str(tmp_path / "nope")
         assert main(["extend", "--tables", missing]) == 1
-        assert "directory not found" in capsys.readouterr().err
-        monkeypatch.setenv("BRUN_TABLE_DIR", missing)
-        assert main(["extend"]) == 1
         assert "directory not found" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lo, hi", [
@@ -404,9 +379,38 @@ class TestExtend:
         base = EXTEND_FIXTURES[3:]
         assert main(["extend", "--tables", ""] + base) == 1
         assert "--tables needs a directory name" in capsys.readouterr().err
-        monkeypatch.setenv("BRUN_TABLE_DIR", "")
-        assert main(["extend"] + base) == 1
-        assert "no census tables" in capsys.readouterr().err
+
+    def test_environment_names_no_tables(self, table_dir, tmp_path, monkeypatch, capsys):
+        plain = tmp_path / "plain.json"
+        assert main(CERTIFY_NUMERIC + ["--out", str(plain)]) == 0
+        monkeypatch.setenv("BRUN_TABLE_DIR", table_dir)
+        capsys.readouterr()
+        assert main(EXTEND_FIXTURES[:1] + EXTEND_FIXTURES[3:]) == 1
+        assert "--tables" in capsys.readouterr().err
+        assert main(["certify", "--x0", "4e18"]) == 1
+        out = tmp_path / "env.json"
+        assert main(CERTIFY_NUMERIC + ["--out", str(out)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+
+    def test_emitted_rows_chain_to_census(self, tmp_path, capsys):
+        rows = tmp_path / "rows"
+        rows.mkdir()
+        for limit in ("1e6", "2e6", "3e6"):
+            argv = ["census", "--limit", limit, "--emit-table", str(rows / f"{limit}.txt")]
+            assert main(argv + ["--json", str(tmp_path / f"{limit}.json")]) == 0
+        base, last = (json.loads((tmp_path / f"{x}.json").read_text()) for x in ("1e6", "3e6"))
+        # the base ends as the exact decimals of their doubles
+        partial = base["brun_partial"]
+        lo, hi = (str(Decimal(float.fromhex(partial[end + "_hex"]))) for end in ("lo", "hi"))
+        out = tmp_path / "extend.json"
+        argv = ["extend", "--tables", str(rows), "--base-x", "1e6", "--base-lo", lo, "--base-hi", hi]
+        assert main(argv + ["--json", str(out)]) == 0
+        chained = json.loads(out.read_text())
+        assert set(chained["inputs"]["input_files"]) == {"1e6.txt", "2e6.txt", "3e6.txt"}
+        assert chained["pi2"] == last["pi2"] == sieve.census(3 * 10**6).pi2
+        enclosure = chained["brun_partial"]
+        assert _end(enclosure, "lo") <= _end(last["brun_partial"], "lo")
+        assert _end(last["brun_partial"], "hi") <= _end(enclosure, "hi")
 
     def test_missing_base_row(self, table_dir, capsys):
         rc = main([
@@ -462,6 +466,10 @@ class TestScanAndProduct:
         payload = json.loads(artifact.read_text())
         assert payload["inputs"]["alpha"] == "2/5"
         assert float(payload["bound"]["hi"]) < 1.0503
+
+    def test_scan_c_alpha_too_small_to_halve(self, capsys):
+        assert main(["scan-c", "--alpha", "1e-400"]) == 2
+        assert "alpha/2 not enclosed above 0" in capsys.readouterr().err
 
     def test_h_bound(self, tmp_path, capsys):
         artifact = tmp_path / "h.json"
@@ -552,30 +560,6 @@ class TestCertify:
         rc = main(CERTIFY_NUMERIC + ["--tables", table_dir])
         assert rc == 1
 
-    def test_triple_beats_env_dir(self, tmp_path, monkeypatch):
-        plain = tmp_path / "plain.json"
-        assert main(CERTIFY_NUMERIC + ["--width-target", "1e-3", "--out", str(plain)]) == 0
-        for env in ("tests/fixtures", str(tmp_path / "nope")):
-            monkeypatch.setenv("BRUN_TABLE_DIR", env)
-            out = tmp_path / "env.json"
-            assert main(CERTIFY_NUMERIC + ["--width-target", "1e-3", "--out", str(out)]) == 0
-            assert out.read_bytes() == plain.read_bytes()
-
-    def test_env_dir_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BRUN_TABLE_DIR", "tests/fixtures")
-        argv = [arg for arg in CERTIFY_TABLES if arg not in ("--tables", "tests/fixtures")]
-        out = tmp_path / "cert.json"
-        assert main(argv + ["--out", str(out)]) == 0
-        assert json.loads(out.read_text())["inputs"]["tables"] == "tests/fixtures"
-        explicit = tmp_path / "explicit.json"
-        assert main(CERTIFY_TABLES + ["--out", str(explicit)]) == 0
-        assert out.read_bytes() == explicit.read_bytes()
-
-    def test_missing_env_dir_when_tables_needed(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BRUN_TABLE_DIR", str(tmp_path / "nope"))
-        assert main(["certify", "--x0", "4e18"]) == 1
-        assert "directory not found" in capsys.readouterr().err
-
     @pytest.mark.parametrize("lo, hi", [
         ("1.9", "1.8"), ("nan", "1.840518"), ("1.840503", "nan"),
         ("1.840503", "inf"), ("-inf", "1.840518"), ("1.840503", "1e400"),
@@ -585,13 +569,11 @@ class TestCertify:
         assert main(argv) == 1
         assert "bad enclosure" in capsys.readouterr().err
 
-    def test_rejects_partial_triple(self, monkeypatch):
-        monkeypatch.delenv("BRUN_TABLE_DIR", raising=False)
+    def test_rejects_partial_triple(self):
         rc = main(["certify", "--x0", "4e18", "--pi2", "10"])
         assert rc == 1
 
-    def test_requires_some_source(self, monkeypatch, capsys):
-        monkeypatch.delenv("BRUN_TABLE_DIR", raising=False)
+    def test_requires_some_source(self, capsys):
         assert main(["certify", "--x0", "4e18"]) == 1
         assert "censused partial sum" in capsys.readouterr().err
 

@@ -478,6 +478,20 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_c(Fraction(1, 3), 0)
 
+    @pytest.mark.parametrize("alpha", [
+        Fraction(1, 10**400), Fraction(1, 10**323), Fraction(3, 2**1074) - Fraction(1, 2**1100),
+    ])
+    def test_alpha_too_small_to_halve(self, alpha):
+        # the head divides by an enclosure of alpha/2, which would contain 0
+        with pytest.raises(ValueError, match="alpha/2 not enclosed above 0"):
+            scan_c(alpha, 100)
+
+    @pytest.mark.parametrize("alpha", [Fraction(3, 2**1074), Fraction(1, 10**320)])
+    def test_tiny_alpha_bound_is_sound(self, alpha):
+        # the head's supremum, about 2 / (e alpha)^2, overflows a double
+        scan = scan_c(alpha, 100)
+        assert scan.bound.lo > 0.52 and scan.bound.hi == math.inf
+
     @given(st.integers(min_value=1, max_value=2000))
     @settings(max_examples=25, deadline=None)
     def test_pointwise_domination(self, x):
